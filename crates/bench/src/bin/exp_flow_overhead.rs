@@ -55,14 +55,13 @@ fn main() {
         ratio_at_top = ratio;
         println!(
             "{ranks:>5} ranks: extract {}  analyze {}  ({:.1}% of extraction; {} phases, \
-             {} edges, {} chains, {} label entries, {} solver iterations)",
+             {} edges, {} oracle searches, {} solver iterations)",
             secs(t_extract),
             secs(t_flow),
             ratio * 100.0,
             report.phases,
             report.edges,
-            report.oracle.chain_count(),
-            report.oracle.label_entries(),
+            report.oracle.search_count(),
             report.solver_iterations
         );
         if !rows.is_empty() {
@@ -70,14 +69,13 @@ fn main() {
         }
         rows.push_str(&format!(
             "    {{\"ranks\": {ranks}, \"extract_s\": {:.6}, \"analyze_s\": {:.6}, \
-             \"ratio\": {ratio:.4}, \"phases\": {}, \"edges\": {}, \"chains\": {}, \
-             \"labels\": {}, \"solver_iterations\": {}}}",
+             \"ratio\": {ratio:.4}, \"phases\": {}, \"edges\": {}, \"searches\": {}, \
+             \"solver_iterations\": {}}}",
             t_extract.as_secs_f64(),
             t_flow.as_secs_f64(),
             report.phases,
             report.edges,
-            report.oracle.chain_count(),
-            report.oracle.label_entries(),
+            report.oracle.search_count(),
             report.solver_iterations
         ));
     }

@@ -3,7 +3,9 @@
 //! epoch-clock baseline (`HbEngine::Clocks`) on the query side of
 //! `lsr races` while answering every query identically, and its memory
 //! must stay O(tasks) instead of tracking the clock pool's
-//! O(tasks · depth) entry count.
+//! O(tasks · depth) entry count. One LULESH row closes the sweep: the
+//! densest causal relation of the generators, where the dynamic store
+//! must keep the same bounded bytes per task and edge.
 //!
 //! Attribution. Both engines share an engine-independent front half —
 //! edge generation, topological order, chain decomposition
@@ -16,11 +18,13 @@
 //!
 //! i.e. the engine's own store construction plus the scan
 //! `analyze_races` actually replays. A seeded random-pair reachability
-//! sweep (8 per task) is also run and timed, but only as a
-//! differential check: both engines must return the same counts on the
-//! same pair sequence. It is reported (`probe_ns`) and excluded from
-//! `races_s` — on this trace a random probe is memory-bound on both
-//! engines and measures the host's cache, not the data structure.
+//! sweep (8 per task) is also run and timed apart: both engines must
+//! return the same counts on the same pair sequence, and its time
+//! (`probe_ns`, excluded from `races_s`) is the cost of a single
+//! arbitrary query. Random cross-lane pairs are the dynamic engine's
+//! worst case — the ones its labels leave open run the pruned search —
+//! so the probe is reported for both engines at every rung and on the
+//! LULESH row.
 //!
 //! Artifacts: `exp_race_scaling.csv` (per-scale series with *measured*
 //! `size_bytes()` per engine — no extrapolated dense column) and the
@@ -28,9 +32,11 @@
 //! `LSR_BENCH_RACES=1` the run becomes a regression gate in the
 //! `LSR_OBS_GATE` style: it panics without a committed artifact, and
 //! fails if the top-rung speedup falls below the 5x acceptance line
-//! (or half the committed figure) or dynamic memory regresses.
+//! (or half the committed figure), if dynamic memory regresses, or if
+//! the dynamic engine's probe time relative to the clock engine's grows
+//! past 1.5x the committed ratio.
 
-use lsr_apps::{mergetree_mpi, MergeTreeParams};
+use lsr_apps::{lulesh_charm, mergetree_mpi, LuleshParams, MergeTreeParams};
 use lsr_bench::{banner, loglog_slope, secs, timed, write_artifact};
 use lsr_core::Config;
 use lsr_lint::{analyze_races_with, causal_mode, HbBase, HbEngine, HbIndex, HbStats};
@@ -108,6 +114,13 @@ fn races_secs(r: &EngineRun) -> f64 {
     (r.store + r.scan).as_secs_f64()
 }
 
+/// Mean tasks the dynamic engine's pruned search expands per search
+/// (0 when no query needed one): the search's cost, independent of how
+/// many reps ran.
+fn visits_per_search(s: &HbStats) -> f64 {
+    s.search_visits as f64 / s.searches.max(1) as f64
+}
+
 fn run_engine(
     trace: &Trace,
     ix: &TraceIndex,
@@ -119,7 +132,7 @@ fn run_engine(
 ) -> EngineRun {
     let mode = causal_mode(cfg);
     let (hb, build) = best(reps, || HbIndex::build_with_engine(trace, ix, mode, engine));
-    assert!(hb.cycle().is_empty(), "merge tree causal relation is acyclic");
+    assert!(hb.cycle().is_empty(), "the causal relation is acyclic");
     let (concurrent, scan) = best(reps, || scan_workload(&hb, ix));
     let (ordered, probe) = best(reps, || probe_workload(&hb, pairs));
     EngineRun {
@@ -133,19 +146,25 @@ fn run_engine(
     }
 }
 
+/// Dynamic-engine probe time as a multiple of the clock engine's on
+/// the same pairs: host speed cancels out of the ratio.
+fn probe_ratio(clocks: &EngineRun, dynamic: &EngineRun) -> f64 {
+    dynamic.probe.as_secs_f64() / clocks.probe.as_secs_f64().max(1e-12)
+}
+
 /// Reads the committed artifact's top-rung figures:
-/// `(speedup, dynamic_bytes)`.
-fn committed_top(path: &std::path::Path) -> Option<(f64, u64)> {
+/// `(speedup, dynamic_bytes, probe_ratio)`.
+fn committed_top(path: &std::path::Path) -> Option<(f64, u64, f64)> {
     let text = std::fs::read_to_string(path).ok()?;
     let v: serde::Value = serde_json::from_str(&text).ok()?;
     let top = v.get("top")?;
-    let speedup = match top.get("speedup")? {
-        serde::Value::F64(x) => *x,
-        serde::Value::U64(n) => *n as f64,
-        _ => return None,
+    let float = |key: &str| match top.get(key)? {
+        serde::Value::F64(x) => Some(*x),
+        serde::Value::U64(n) => Some(*n as f64),
+        _ => None,
     };
     let serde::Value::U64(bytes) = top.get("dynamic_bytes")? else { return None };
-    Some((speedup, *bytes))
+    Some((float("speedup")?, *bytes, float("probe_ratio")?))
 }
 
 fn main() {
@@ -165,13 +184,13 @@ fn main() {
     let committed = committed_top(&races_path);
 
     let mut csv = String::from(
-        "ranks,tasks,edges,lanes,clock_entries,interval_entries,clocks_bytes,dynamic_bytes,\
+        "ranks,tasks,edges,lanes,clock_entries,visits_per_search,clocks_bytes,dynamic_bytes,\
          base_s,clocks_build_s,dynamic_build_s,clocks_races_s,dynamic_races_s,speedup\n",
     );
     let mut scale_json = Vec::new();
     let mut entry_points = Vec::new();
     let mut dyn_points = Vec::new();
-    let mut top: Option<(u32, f64, u64, u64)> = None;
+    let mut top = None;
     println!(
         "{:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "ranks",
@@ -229,23 +248,17 @@ fn main() {
         );
 
         // Dynamic-engine memory claim: no longer proportional to
-        // clock_entries. The spanning forest absorbs almost every
-        // reach set (the merge tree's joins leave only a thin layer of
-        // exception intervals), so the store is a bounded number of
-        // words per task, measured, at every scale — while the clock
-        // pool carries the tree's log-depth entry blowup.
+        // clock_entries. The reachability core is five labels per task
+        // plus the successor lists its pruned search walks, so the
+        // store is a bounded number of words per task, measured, at
+        // every scale — while the clock pool carries the tree's
+        // log-depth entry blowup.
         println!(
-            "    [{}r] interval_entries={} clock_entries={} dyn_bytes/task={:.1}",
+            "    [{}r] visits/search={:.1} clock_entries={} dyn_bytes/task={:.1}",
             ranks,
-            ds.interval_entries,
+            visits_per_search(ds),
             cs.clock_entries,
             ds.bytes as f64 / ds.tasks as f64
-        );
-        assert!(
-            ds.interval_entries <= 2 * ds.tasks,
-            "exception intervals {} must stay O(tasks) at {ranks} ranks ({} tasks)",
-            ds.interval_entries,
-            ds.tasks
         );
         assert!(
             ds.bytes <= 48 * ds.tasks + 1024,
@@ -284,12 +297,12 @@ fn main() {
             speedup
         );
         csv.push_str(&format!(
-            "{ranks},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.2}\n",
+            "{ranks},{},{},{},{},{:.2},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.2}\n",
             cs.tasks,
             cs.edges,
             cs.lanes,
             cs.clock_entries,
-            ds.interval_entries,
+            visits_per_search(ds),
             cs.bytes,
             ds.bytes,
             base.as_secs_f64(),
@@ -305,7 +318,7 @@ fn main() {
                 format!(
                     "        {{\"name\": \"{}\", \"build_ns\": {}, \"store_ns\": {}, \
                      \"scan_ns\": {}, \"probe_ns\": {}, \"races_ns\": {}, \"bytes\": {}, \
-                     \"clock_entries\": {}, \"interval_entries\": {}}}",
+                     \"clock_entries\": {}, \"visits_per_search\": {:.2}}}",
                     r.engine.name(),
                     r.build.as_nanos(),
                     r.store.as_nanos(),
@@ -314,7 +327,7 @@ fn main() {
                     (r.store + r.scan).as_nanos(),
                     r.stats.bytes,
                     r.stats.clock_entries,
-                    r.stats.interval_entries
+                    visits_per_search(&r.stats)
                 )
             })
             .collect::<Vec<_>>()
@@ -329,7 +342,7 @@ fn main() {
         ));
         entry_points.push(((cs.tasks + cs.edges) as f64, cs.clock_entries as f64));
         dyn_points.push((ds.tasks as f64, ds.bytes as f64));
-        top = Some((ranks, speedup, cs.bytes as u64, ds.bytes as u64));
+        top = Some((ranks, speedup, cs.bytes as u64, ds.bytes as u64, clocks, dynamic));
     }
 
     // Scaling exponents across the sweep: the clock pool picks up the
@@ -349,14 +362,62 @@ fn main() {
         "dynamic store must scale linearly in tasks (slope {dyn_slope:.3})"
     );
 
-    let (top_ranks, top_speedup, top_clocks_bytes, top_dyn_bytes) = top.expect("non-empty sweep");
+    // The dense end: LULESH, whose 3-D halo gives the densest causal
+    // relation of the generators (the shape on which a store of
+    // per-task exception intervals grows to hundreds of bytes per
+    // task). The reachability core's footprint does not depend on the
+    // shape: the same bounded words per task, plus one per edge.
+    let dense = lulesh_charm(&LuleshParams::scaling(4, 8));
+    let dense_cfg = Config::charm();
+    let dense_ix = dense.index();
+    let dense_pairs = probe_pairs(dense.tasks.len(), 0x9E37_79B9_7F4A_7C15);
+    let (_, dense_base) = best(reps, || HbBase::build(&dense, &dense_ix, causal_mode(&dense_cfg)));
+    let run =
+        |engine| run_engine(&dense, &dense_ix, &dense_cfg, engine, reps, dense_base, &dense_pairs);
+    let (dense_clocks, dense_dyn) = (run(HbEngine::Clocks), run(HbEngine::Dynamic));
+    assert_eq!(
+        dense_clocks.answers, dense_dyn.answers,
+        "lulesh: engines disagree on the query workload"
+    );
+    let ds = &dense_dyn.stats;
+    assert!(
+        ds.bytes <= 48 * ds.tasks + 4 * ds.edges + 1024,
+        "dynamic store {} B must stay O(tasks + edges) on lulesh ({} tasks, {} edges)",
+        ds.bytes,
+        ds.tasks,
+        ds.edges
+    );
+    let dense_speedup = races_secs(&dense_clocks) / races_secs(&dense_dyn).max(1e-12);
+    let dense_probe_ratio = probe_ratio(&dense_clocks, &dense_dyn);
+    println!(
+        "lulesh 4x4x4: {} tasks, {} edges, clocks {} B, dynamic {} B ({:.1} B/task), \
+         {:.1} visits/search, query side {dense_speedup:.1}x faster, random probe \
+         {dense_probe_ratio:.2}x the clocks time",
+        ds.tasks,
+        ds.edges,
+        dense_clocks.stats.bytes,
+        ds.bytes,
+        ds.bytes as f64 / ds.tasks as f64,
+        visits_per_search(ds)
+    );
+
+    let (top_ranks, top_speedup, top_clocks_bytes, top_dyn_bytes, top_clocks, top_dyn) =
+        top.expect("non-empty sweep");
+    let top_probe_ratio = probe_ratio(&top_clocks, &top_dyn);
+    println!(
+        "{top_ranks}-rank random probe: clocks {}, dynamic {} ({top_probe_ratio:.2}x)",
+        secs(top_clocks.probe),
+        secs(top_dyn.probe)
+    );
     // Opt-in regression gate (`LSR_BENCH_RACES=1`), timing-based like
     // `LSR_BENCH_SCALING`: the top rung must hold the 5x acceptance
     // line (or at least half the committed figure, so a noisy host
-    // cannot silently halve the win), and dynamic memory must not
-    // regress past 1.5x the committed bytes.
+    // cannot silently halve the win), dynamic memory must not regress
+    // past 1.5x the committed bytes, and a single query must not slow
+    // down: the probe-time ratio to the clock engine stays within 1.5x
+    // the committed ratio.
     if std::env::var("LSR_BENCH_RACES").map(|v| v == "1").unwrap_or(false) {
-        let Some((committed_speedup, committed_bytes)) = committed else {
+        let Some((committed_speedup, committed_bytes, committed_ratio)) = committed else {
             panic!("LSR_BENCH_RACES=1 but no committed {} to gate against", races_path.display())
         };
         let floor = 5.0_f64.max(committed_speedup / 2.0);
@@ -370,18 +431,39 @@ fn main() {
             "{top_ranks}-rank dynamic store {top_dyn_bytes} B regressed past 1.5x the \
              committed {committed_bytes} B"
         );
+        assert!(
+            top_probe_ratio <= committed_ratio * 1.5,
+            "{top_ranks}-rank random probe at {top_probe_ratio:.2}x the clocks time, past \
+             1.5x the committed {committed_ratio:.2}x"
+        );
         println!(
             "  races gate: {top_ranks}-rank speedup {top_speedup:.2}x >= {floor:.2}x, \
-             memory within bounds"
+             memory and probe time within bounds"
         );
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"race_scaling\",\n  \"schema\": \"lsr-bench-races/1\",\n  \
-         \"scales\": [\n{}\n  ],\n  \"top\": {{\n    \"ranks\": {top_ranks},\n    \
+        "{{\n  \"bench\": \"race_scaling\",\n  \"schema\": \"lsr-bench-races/2\",\n  \
+         \"scales\": [\n{}\n  ],\n  \"dense\": {{\n    \"workload\": \"lulesh 4x4x4\",\n    \
+         \"tasks\": {},\n    \"edges\": {},\n    \"speedup\": {dense_speedup:.2},\n    \
+         \"clocks_bytes\": {},\n    \"dynamic_bytes\": {},\n    \
+         \"clocks_probe_ns\": {},\n    \"dynamic_probe_ns\": {},\n    \
+         \"probe_ratio\": {dense_probe_ratio:.2},\n    \
+         \"visits_per_search\": {:.2}\n  }},\n  \
+         \"top\": {{\n    \"ranks\": {top_ranks},\n    \
          \"speedup\": {top_speedup:.2},\n    \"clocks_bytes\": {top_clocks_bytes},\n    \
-         \"dynamic_bytes\": {top_dyn_bytes}\n  }}\n}}\n",
-        scale_json.join(",\n")
+         \"dynamic_bytes\": {top_dyn_bytes},\n    \"clocks_probe_ns\": {},\n    \
+         \"dynamic_probe_ns\": {},\n    \"probe_ratio\": {top_probe_ratio:.2}\n  }}\n}}\n",
+        scale_json.join(",\n"),
+        ds.tasks,
+        ds.edges,
+        dense_clocks.stats.bytes,
+        ds.bytes,
+        dense_clocks.probe.as_nanos(),
+        dense_dyn.probe.as_nanos(),
+        visits_per_search(ds),
+        top_clocks.probe.as_nanos(),
+        top_dyn.probe.as_nanos()
     );
     write_artifact("BENCH_races.json", &json);
     write_artifact("exp_race_scaling.csv", &csv);

@@ -243,8 +243,6 @@ pub fn analyze(
     let oracle = ReachOracle::build(&g)?;
     rec.add("flow.oracle.nodes", g.len() as u64);
     rec.add("flow.oracle.edges", g.edge_count() as u64);
-    rec.add("flow.oracle.chains", oracle.chain_count() as u64);
-    rec.add("flow.oracle.labels", oracle.label_entries() as u64);
     drop(sp);
 
     let mut findings = Vec::new();
@@ -447,6 +445,7 @@ pub fn analyze(
     rec.add("flow.solver.iterations", iterations);
     rec.add("flow.findings", findings.len() as u64);
     rec.add("flow.oracle.queries", oracle.query_count());
+    rec.add("flow.oracle.searches", oracle.search_count());
     drop(span);
 
     Ok(AnalyzeReport {

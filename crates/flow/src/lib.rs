@@ -11,10 +11,12 @@
 //!   implement [`Analysis`] (a fact lattice, a direction, a monotone
 //!   transfer function) and [`solve`] returns its least fixpoint over
 //!   a [`FlowGraph`], forward or backward.
-//! * [`reach`] — a precomputed [`ReachOracle`] answering strict and
-//!   reflexive reachability with topological-level pruning (O(1)
-//!   negatives) and chain-decomposition labels (one binary search for
-//!   positives), without materializing a per-node clock.
+//! * [`reach`] — the workspace's one reachability core, [`Reach`]:
+//!   topological levels, spanning-forest intervals and reach bounds
+//!   settle most queries in O(1), and a search pruned by those bounds
+//!   settles the rest, in O(nodes + edges) space and without
+//!   materializing a per-node clock. [`ReachOracle`] wraps it for
+//!   phase DAGs; `lsr-lint`'s happened-before index for task graphs.
 //! * [`analyses`] — the D-family clients (`lsr lint` codes
 //!   `D001`–`D004`, surfaced by `lsr analyze`): serialization
 //!   bottlenecks via dominators/post-dominators, redundant dependence
@@ -39,5 +41,5 @@ pub use analyses::{
 };
 pub use graph::FlowGraph;
 pub use lattice::{BitSet, JoinSemiLattice, MaxU64};
-pub use reach::ReachOracle;
+pub use reach::{Reach, ReachOracle};
 pub use solver::{solve, Analysis, Direction, Solution};

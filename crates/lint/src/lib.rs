@@ -39,7 +39,6 @@ mod analyze;
 mod diag;
 mod hb;
 mod hb_clocks;
-mod hb_dynamic;
 mod model;
 mod passes;
 mod race;

@@ -125,7 +125,7 @@ pub struct RaceReport {
     /// True when enumeration stopped at the limit (R005 reported).
     pub truncated: bool,
     /// Store statistics of the causal happened-before index (engine-
-    /// versioned: clock-family or label-family counters, depending on
+    /// versioned: clock-family or search-family counters, depending on
     /// the [`HbEngine`] used). Deliberately absent from
     /// [`RaceReport::to_json`], which stays engine-agnostic so both
     /// engines produce byte-identical reports.
@@ -327,8 +327,8 @@ fn analyze_with_index(
     // the active engine's family shows up in a profile.
     cfg.recorder.add("lint.hb.bytes", hb_stats.bytes as u64);
     cfg.recorder.add("lint.hb.clock_entries", hb_stats.clock_entries as u64);
-    cfg.recorder.add("lint.hb.segments", hb_stats.segments as u64);
-    cfg.recorder.add("lint.hb.interval_entries", hb_stats.interval_entries as u64);
+    cfg.recorder.add("lint.hb.searches", hb_stats.searches);
+    cfg.recorder.add("lint.hb.search_visits", hb_stats.search_visits);
     Ok(RaceReport { races, untraced, diagnostics, scanned_pairs: scanned, truncated, hb_stats })
 }
 

@@ -133,8 +133,9 @@ fn every_emitted_counter_is_documented() {
         "lint.hb.queries",
         "lint.hb.bytes",
         "lint.hb.clock_entries",
-        "lint.hb.segments",
-        "lint.hb.interval_entries",
+        "lint.hb.searches",
+        "lint.hb.search_visits",
+        "flow.oracle.searches",
     ] {
         assert!(emitted.contains(name), "counter {name} is no longer incremented anywhere");
     }

@@ -4,9 +4,10 @@
 //! Three agreements are checked on arbitrary inputs, not just the
 //! shapes the proxy apps produce:
 //!
-//! * the chain-label [`ScheduleOracle`] answers exactly like the
-//!   sparse-clock [`HbIndex`] over the schedule relation — two
-//!   independently engineered indexes of the same partial order;
+//! * the [`ScheduleOracle`] (the bound-pruned reachability core)
+//!   answers exactly like the epoch-clock [`HbIndex`] engine over the
+//!   schedule relation — two independently engineered indexes of the
+//!   same partial order;
 //! * dropping every D002-redundant edge (the transitive reduction)
 //!   preserves the reachability relation of a DAG;
 //! * the pipeline's iterative SCC ([`DiGraph::sccs`]) and the audit
@@ -16,15 +17,18 @@ mod support;
 
 use lsr::core::graph::DiGraph;
 use lsr::flow::{FlowGraph, ReachOracle};
-use lsr::lint::{HbIndex, HbQuery, ScheduleOracle};
+use lsr::lint::{HbEngine, HbIndex, HbMode, HbQuery, ScheduleOracle};
 use lsr::trace::{TaskId, Trace};
 use proptest::prelude::*;
 
 /// Asserts the two schedule indexes agree on every pair (small traces)
-/// or a deterministic sample of pairs (large ones).
+/// or a deterministic sample of pairs (large ones). The `HbIndex` side
+/// runs the epoch-clock engine: the default engine shares the oracle's
+/// reachability core, so only the clocks keep the comparison
+/// independent.
 fn assert_indexes_agree(name: &str, tr: &Trace) {
     let ix = tr.index();
-    let hb = HbIndex::build(tr, &ix);
+    let hb = HbIndex::build_with_engine(tr, &ix, HbMode::Schedule, HbEngine::Clocks);
     assert!(hb.cycle().is_empty(), "{name}: schedule must be acyclic");
     let oracle = ScheduleOracle::build(tr, &ix)
         .unwrap_or_else(|| panic!("{name}: oracle must build on an acyclic schedule"));

@@ -51,8 +51,9 @@ fn modes(cfg: &Config) -> [HbMode; 2] {
 
 /// Exhaustive agreement on one trace and mode: both engines must give
 /// the same cycle witness and the same answer for *every* ordered task
-/// pair — not a sampled workload.
-fn assert_engines_agree(name: &str, trace: &Trace, mode: HbMode) {
+/// pair — not a sampled workload. Returns how many of those queries the
+/// dynamic engine answered through its pruned search.
+fn assert_engines_agree(name: &str, trace: &Trace, mode: HbMode) -> u64 {
     let ix = trace.index();
     let clocks = HbIndex::build_with_engine(trace, &ix, mode, HbEngine::Clocks);
     let dynamic = HbIndex::build_with_engine(trace, &ix, mode, HbEngine::Dynamic);
@@ -72,17 +73,21 @@ fn assert_engines_agree(name: &str, trace: &Trace, mode: HbMode) {
             );
         }
     }
+    dynamic.stats().searches
 }
 
 /// Both engines agree on every task pair of every preset, in both the
-/// schedule and the causal relation.
+/// schedule and the causal relation — including queries only the
+/// dynamic engine's pruned search can settle.
 #[test]
 fn engines_agree_on_all_pairs_of_every_preset() {
+    let mut searches = 0;
     for (name, trace, cfg) in presets() {
         for mode in modes(&cfg) {
-            assert_engines_agree(name, &trace, mode);
+            searches += assert_engines_agree(name, &trace, mode);
         }
     }
+    assert!(searches > 0, "the presets must exercise the pruned search");
 }
 
 /// `analyze_races` is engine-independent on every preset: the full
@@ -199,15 +204,23 @@ fn assert_corruption_caught(kind: &str, sites: impl Fn(&Trace) -> Vec<HbCorrupti
     panic!("{kind}: no preset/site where the corruption flips a race verdict");
 }
 
-/// A dropped cross-lane edge (lost exception interval) changes a
-/// concurrency verdict the race scan depends on.
-#[test]
-fn dropped_cross_lane_edge_flips_a_race_verdict() {
-    assert_corruption_caught("drop-cross-edge", |_| vec![HbCorruption::DropCrossEdge]);
+/// Every task as a corruption site, in id order.
+fn every_task(trace: &Trace, site: impl Fn(TaskId) -> HbCorruption) -> Vec<HbCorruption> {
+    (0..trace.tasks.len() as u32).map(|t| site(TaskId(t))).collect()
 }
 
-/// Swapped forest interval labels change a reachability answer the
-/// race scan depends on.
+/// A dropped cross-lane edge (lost on insertion, so the pruned search
+/// cannot walk it) changes a concurrency verdict the race scan depends
+/// on.
+#[test]
+fn dropped_cross_lane_edge_flips_a_race_verdict() {
+    assert_corruption_caught("drop-cross-edge", |trace| {
+        every_task(trace, HbCorruption::DropCrossEdge)
+    });
+}
+
+/// Swapped reachability labels change an answer the race scan depends
+/// on.
 #[test]
 fn swapped_labels_flip_a_race_verdict() {
     assert_corruption_caught("swap-label", |trace| {
@@ -225,11 +238,10 @@ fn swapped_labels_flip_a_race_verdict() {
     });
 }
 
-/// A stale (emptied) exception segment changes a reachability answer
-/// the race scan depends on.
+/// A stale reach bound (successors' reach never folded in) prunes a
+/// true path and changes a reachability answer the race scan depends
+/// on.
 #[test]
-fn stale_segment_flips_a_race_verdict() {
-    assert_corruption_caught("stale-segment", |trace| {
-        (0..trace.tasks.len() as u32).map(|t| HbCorruption::StaleSegment(TaskId(t))).collect()
-    });
+fn stale_reach_bound_flips_a_race_verdict() {
+    assert_corruption_caught("stale-bound", |trace| every_task(trace, HbCorruption::StaleBound));
 }
