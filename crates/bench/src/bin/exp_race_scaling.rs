@@ -1,45 +1,34 @@
-//! Race-analysis scaling on the merge tree, engine vs engine: the
-//! dynamic partial-order engine (`HbEngine::Dynamic`) must beat the
-//! epoch-clock baseline (`HbEngine::Clocks`) on the query side of
-//! `lsr races` while answering every query identically, and its memory
-//! must stay O(tasks) instead of tracking the clock pool's
-//! O(tasks · depth) entry count. One LULESH row closes the sweep: the
-//! densest causal relation of the generators, where the dynamic store
-//! must keep the same bounded bytes per task and edge.
-//!
-//! Attribution. Both engines share an engine-independent front half —
-//! edge generation, topological order, chain decomposition
-//! (`HbBase`) — which is timed once per scale and reported as
-//! `base_s`. The *query side* of one engine is what remains:
+//! Race-analysis scaling on the merge tree: the query side of `lsr
+//! races` — the causal happened-before index build plus the
+//! adjacent-pair concurrency scan `analyze_races` replays — must stay
+//! O(tasks) in memory and linear in time, and the merge tree must stay
+//! race-free at every scale. One LULESH row closes the sweep: the
+//! densest causal relation of the generators, where the index must keep
+//! the same bounded bytes per task and edge.
 //!
 //! ```text
-//! races_s = (full index build − base) + adjacent-pair concurrency scan
+//! races_s = index build + adjacent-pair concurrency scan
 //! ```
 //!
-//! i.e. the engine's own store construction plus the scan
-//! `analyze_races` actually replays. A seeded random-pair reachability
-//! sweep (8 per task) is also run and timed apart: both engines must
-//! return the same counts on the same pair sequence, and its time
-//! (`probe_ns`, excluded from `races_s`) is the cost of a single
-//! arbitrary query. Random cross-lane pairs are the dynamic engine's
-//! worst case — the ones its labels leave open run the pruned search —
-//! so the probe is reported for both engines at every rung and on the
-//! LULESH row.
+//! A seeded random-pair reachability sweep (8 per task) is run and
+//! timed apart: its time (`probe_ns`, excluded from `races_s`) is the
+//! cost of a single arbitrary query, and `visits_per_search` — tasks the
+//! pruned search expands per query the labels leave open — is its
+//! hardware-independent cost. Random pairs are the index's worst case,
+//! so the probe is reported at every rung and on the LULESH row.
 //!
 //! Artifacts: `exp_race_scaling.csv` (per-scale series with *measured*
-//! `size_bytes()` per engine — no extrapolated dense column) and the
-//! schema-versioned `bench_out/BENCH_races.json`. With
-//! `LSR_BENCH_RACES=1` the run becomes a regression gate in the
+//! `size_bytes()`) and the schema-versioned `bench_out/BENCH_races.json`.
+//! With `LSR_BENCH_RACES=1` the run becomes a regression gate in the
 //! `LSR_OBS_GATE` style: it panics without a committed artifact, and
-//! fails if the top-rung speedup falls below the 5x acceptance line
-//! (or half the committed figure), if dynamic memory regresses, or if
-//! the dynamic engine's probe time relative to the clock engine's grows
-//! past 1.5x the committed ratio.
+//! fails if top-rung bytes grow past the committed figure, top-rung
+//! `races_ns` past 2× the committed figure, or the top-rung or LULESH
+//! `visits_per_search` past 1.5× the committed figure.
 
 use lsr_apps::{lulesh_charm, mergetree_mpi, LuleshParams, MergeTreeParams};
 use lsr_bench::{banner, loglog_slope, secs, timed, write_artifact};
 use lsr_core::Config;
-use lsr_lint::{analyze_races_with, causal_mode, HbBase, HbEngine, HbIndex, HbStats};
+use lsr_lint::{analyze_races, causal_mode, HbIndex, HbStats};
 use lsr_trace::{Dur, TaskId, Trace, TraceIndex};
 use std::time::Duration;
 
@@ -62,8 +51,7 @@ fn best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
 }
 
 /// The scan `analyze_races` replays: adjacent-pair concurrency over
-/// every chare stream. Returns the concurrent-pair count so the
-/// engines' answers can be compared at full scale, not just timed.
+/// every chare stream.
 fn scan_workload(hb: &HbIndex, ix: &TraceIndex) -> usize {
     let mut concurrent = 0usize;
     for list in &ix.tasks_by_chare {
@@ -76,13 +64,12 @@ fn scan_workload(hb: &HbIndex, ix: &TraceIndex) -> usize {
     concurrent
 }
 
-/// A seeded random-pair sequence (8 per task — the cross-lane mix an
-/// online consumer would issue), generated once per scale so both
-/// engines answer the *same* pairs.
+/// A seeded random-pair sequence (8 per task — the mix an online
+/// consumer would issue).
 fn probe_pairs(n: usize, seed: u64) -> Vec<(TaskId, TaskId)> {
     let mut state = seed | 1;
     let mut rand = move || {
-        // xorshift64: deterministic, engine-independent pair sequence.
+        // xorshift64: a deterministic pair sequence.
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
@@ -97,81 +84,86 @@ fn probe_workload(hb: &HbIndex, pairs: &[(TaskId, TaskId)]) -> usize {
     pairs.iter().filter(|&&(a, b)| hb.happens_before(a, b)).count()
 }
 
-struct EngineRun {
-    engine: HbEngine,
+struct Run {
     build: Duration,
-    store: Duration,
     scan: Duration,
     probe: Duration,
     stats: HbStats,
-    answers: (usize, usize),
 }
 
-/// `races_s` for one engine: the query side of `lsr races` — the
-/// engine's own store construction (full build minus the shared base)
-/// plus the concurrency scan the detector replays.
-fn races_secs(r: &EngineRun) -> f64 {
-    (r.store + r.scan).as_secs_f64()
-}
+impl Run {
+    /// The query side of `lsr races`: index build plus the scan.
+    fn races(&self) -> Duration {
+        self.build + self.scan
+    }
 
-/// Mean tasks the dynamic engine's pruned search expands per search
-/// (0 when no query needed one): the search's cost, independent of how
-/// many reps ran.
-fn visits_per_search(s: &HbStats) -> f64 {
-    s.search_visits as f64 / s.searches.max(1) as f64
-}
+    /// Mean tasks the pruned search expands per search (0 when no
+    /// query needed one): the search's cost, independent of the host
+    /// and of how many reps ran.
+    fn visits_per_search(&self) -> f64 {
+        self.stats.search_visits as f64 / self.stats.searches.max(1) as f64
+    }
 
-fn run_engine(
-    trace: &Trace,
-    ix: &TraceIndex,
-    cfg: &Config,
-    engine: HbEngine,
-    reps: usize,
-    base: Duration,
-    pairs: &[(TaskId, TaskId)],
-) -> EngineRun {
-    let mode = causal_mode(cfg);
-    let (hb, build) = best(reps, || HbIndex::build_with_engine(trace, ix, mode, engine));
-    assert!(hb.cycle().is_empty(), "the causal relation is acyclic");
-    let (concurrent, scan) = best(reps, || scan_workload(&hb, ix));
-    let (ordered, probe) = best(reps, || probe_workload(&hb, pairs));
-    EngineRun {
-        engine,
-        build,
-        store: build.saturating_sub(base),
-        scan,
-        probe,
-        stats: hb.stats(),
-        answers: (concurrent, ordered),
+    /// The artifact fields shared by every row.
+    fn json_fields(&self) -> String {
+        format!(
+            "\"tasks\": {}, \"edges\": {}, \"build_ns\": {}, \"scan_ns\": {}, \
+             \"races_ns\": {}, \"probe_ns\": {}, \"bytes\": {}, \"visits_per_search\": {:.2}",
+            self.stats.tasks,
+            self.stats.edges,
+            self.build.as_nanos(),
+            self.scan.as_nanos(),
+            self.races().as_nanos(),
+            self.probe.as_nanos(),
+            self.stats.bytes,
+            self.visits_per_search()
+        )
     }
 }
 
-/// Dynamic-engine probe time as a multiple of the clock engine's on
-/// the same pairs: host speed cancels out of the ratio.
-fn probe_ratio(clocks: &EngineRun, dynamic: &EngineRun) -> f64 {
-    dynamic.probe.as_secs_f64() / clocks.probe.as_secs_f64().max(1e-12)
+fn run(trace: &Trace, cfg: &Config, reps: usize, pairs: &[(TaskId, TaskId)]) -> Run {
+    let ix = trace.index();
+    let mode = causal_mode(cfg);
+    let (hb, build) = best(reps, || HbIndex::build_with_mode(trace, &ix, mode));
+    assert!(hb.cycle().is_empty(), "the causal relation is acyclic");
+    let (_, scan) = best(reps, || scan_workload(&hb, &ix));
+    let (_, probe) = best(reps, || probe_workload(&hb, pairs));
+    Run { build, scan, probe, stats: hb.stats() }
 }
 
-/// Reads the committed artifact's top-rung figures:
-/// `(speedup, dynamic_bytes, probe_ratio)`.
-fn committed_top(path: &std::path::Path) -> Option<(f64, u64, f64)> {
+/// The committed artifact's gated figures: top-rung bytes, `races_ns`
+/// and `visits_per_search`, and the LULESH row's `visits_per_search`.
+struct Committed {
+    bytes: u64,
+    races_ns: u64,
+    top_visits: f64,
+    dense_visits: f64,
+}
+
+fn committed(path: &std::path::Path) -> Option<Committed> {
     let text = std::fs::read_to_string(path).ok()?;
     let v: serde::Value = serde_json::from_str(&text).ok()?;
-    let top = v.get("top")?;
-    let float = |key: &str| match top.get(key)? {
+    if !matches!(v.get("schema")?, serde::Value::Str(s) if s == "lsr-bench-races/3") {
+        return None;
+    }
+    let num = |row: &str, key: &str| match v.get(row)?.get(key)? {
         serde::Value::F64(x) => Some(*x),
         serde::Value::U64(n) => Some(*n as f64),
         _ => None,
     };
-    let serde::Value::U64(bytes) = top.get("dynamic_bytes")? else { return None };
-    Some((float("speedup")?, *bytes, float("probe_ratio")?))
+    Some(Committed {
+        bytes: num("top", "bytes")? as u64,
+        races_ns: num("top", "races_ns")? as u64,
+        top_visits: num("top", "visits_per_search")?,
+        dense_visits: num("dense", "visits_per_search")?,
+    })
 }
 
 fn main() {
-    banner("exp_race_scaling", "dynamic partial-order engine vs epoch clocks on the merge tree");
+    banner("exp_race_scaling", "causal happened-before index on the merge tree");
     // The paper's 1,024-rank configuration and the 4,096-rank gate
-    // rung are always part of the sweep: the complexity and speedup
-    // claims must hold at scale, not just on toy sizes.
+    // rung are always part of the sweep: the complexity claims must
+    // hold at scale, not just on toy sizes.
     let sweep: &[u32] = if lsr_bench::full_scale() {
         &[64, 128, 256, 512, 1024, 2048, 4096]
     } else {
@@ -179,296 +171,151 @@ fn main() {
     };
     let reps = if lsr_bench::full_scale() { 15 } else { 7 };
     let cfg = Config::mpi().with_process_order(false);
-    let out_dir = lsr_bench::out_dir();
-    let races_path = out_dir.join("BENCH_races.json");
-    let committed = committed_top(&races_path);
+    let races_path = lsr_bench::out_dir().join("BENCH_races.json");
+    let committed = committed(&races_path);
 
-    let mut csv = String::from(
-        "ranks,tasks,edges,lanes,clock_entries,visits_per_search,clocks_bytes,dynamic_bytes,\
-         base_s,clocks_build_s,dynamic_build_s,clocks_races_s,dynamic_races_s,speedup\n",
-    );
+    let mut csv =
+        String::from("ranks,tasks,edges,bytes,visits_per_search,build_s,scan_s,races_s,probe_s\n");
     let mut scale_json = Vec::new();
-    let mut entry_points = Vec::new();
-    let mut dyn_points = Vec::new();
+    let mut byte_points = Vec::new();
     let mut top = None;
     println!(
-        "{:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "ranks",
-        "tasks",
-        "edges",
-        "clk.ent",
-        "clk.B",
-        "dyn.B",
-        "base",
-        "clk.races",
-        "dyn.races",
-        "speedup"
+        "{:>6} {:>8} {:>8} {:>10} {:>8} {:>10} {:>10} {:>10}",
+        "ranks", "tasks", "edges", "bytes", "visits", "build", "races", "probe"
     );
     for &ranks in sweep {
         let trace = mergetree_mpi(&params(ranks));
-        let ix = trace.index();
-        let mode = causal_mode(&cfg);
-        let n = trace.tasks.len();
-        let pairs = probe_pairs(n, 0x9E37_79B9_7F4A_7C15 ^ ranks as u64);
-        // The shared front half, timed once: both engines pay it
-        // verbatim inside their builds, so subtracting it isolates
-        // each engine's own store construction.
-        let (_, base) = best(reps, || HbBase::build(&trace, &ix, mode));
-        let clocks = run_engine(&trace, &ix, &cfg, HbEngine::Clocks, reps, base, &pairs);
-        let dynamic = run_engine(&trace, &ix, &cfg, HbEngine::Dynamic, reps, base, &pairs);
-        let (cs, ds) = (&clocks.stats, &dynamic.stats);
-
-        // Differential identity at every scale: the engines must agree
-        // on the replayed scan and the random probe, and produce
-        // byte-identical race reports through the real analysis.
-        assert_eq!(
-            clocks.answers, dynamic.answers,
-            "{ranks} ranks: engines disagree on the query workload"
-        );
-        let rep_c = analyze_races_with(&trace, &cfg, 1_000_000, HbEngine::Clocks).expect("acyclic");
-        let rep_d =
-            analyze_races_with(&trace, &cfg, 1_000_000, HbEngine::Dynamic).expect("acyclic");
-        assert_eq!(rep_c.to_json(), rep_d.to_json(), "{ranks} ranks: reports must be identical");
+        let pairs = probe_pairs(trace.tasks.len(), 0x9E37_79B9_7F4A_7C15 ^ ranks as u64);
+        let r = run(&trace, &cfg, reps, &pairs);
+        let s = &r.stats;
 
         // The deterministic per-rank MPI program admits no delivery
         // races at any scale.
+        let report = analyze_races(&trace, &cfg, 1_000_000).expect("acyclic");
         assert!(
-            rep_d.races.is_empty() && rep_d.untraced.is_empty(),
-            "merge tree at {ranks} ranks must be race-free: {rep_d}"
+            report.races.is_empty() && report.untraced.is_empty(),
+            "merge tree at {ranks} ranks must be race-free: {report}"
         );
 
-        // Clock-pool complexity (the baseline's best case): entries are
-        // O(tasks + edges) up to the tree's log-depth factor.
-        assert!(
-            cs.clock_entries <= 4 * (cs.tasks + cs.edges),
-            "clock entries {} must be ≤ 4 × (tasks {} + edges {}) at {ranks} ranks",
-            cs.clock_entries,
-            cs.tasks,
-            cs.edges
-        );
-
-        // Dynamic-engine memory claim: no longer proportional to
-        // clock_entries. The reachability core is five labels per task
+        // Memory claim: the reachability core is five labels per task
         // plus the successor lists its pruned search walks, so the
-        // store is a bounded number of words per task, measured, at
-        // every scale — while the clock pool carries the tree's
-        // log-depth entry blowup.
-        println!(
-            "    [{}r] visits/search={:.1} clock_entries={} dyn_bytes/task={:.1}",
-            ranks,
-            visits_per_search(ds),
-            cs.clock_entries,
-            ds.bytes as f64 / ds.tasks as f64
-        );
+        // index is a bounded number of words per task, measured, at
+        // every scale.
         assert!(
-            ds.bytes <= 48 * ds.tasks + 1024,
-            "dynamic store {} B must stay O(tasks) at {ranks} ranks ({} tasks)",
-            ds.bytes,
-            ds.tasks
-        );
-        // The separation grows with scale (the clock pool's per-entry
-        // cost tracks tree depth): never larger, and ≥2× smaller from
-        // the paper's 1,024-rank configuration up.
-        assert!(
-            ds.bytes <= cs.bytes,
-            "dynamic store {} B must not exceed the clock store {} B at {ranks} ranks",
-            ds.bytes,
-            cs.bytes
-        );
-        assert!(
-            ranks < 1024 || 2 * ds.bytes <= cs.bytes,
-            "dynamic store {} B must be ≥2× below the clock store {} B at {ranks} ranks",
-            ds.bytes,
-            cs.bytes
+            s.bytes <= 48 * s.tasks + 1024,
+            "index {} B must stay O(tasks) at {ranks} ranks ({} tasks)",
+            s.bytes,
+            s.tasks
         );
 
-        let speedup = races_secs(&clocks) / races_secs(&dynamic).max(1e-12);
         println!(
-            "{:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7.1}x",
+            "{:>6} {:>8} {:>8} {:>10} {:>8.1} {:>10} {:>10} {:>10}",
             ranks,
-            cs.tasks,
-            cs.edges,
-            cs.clock_entries,
-            cs.bytes,
-            ds.bytes,
-            secs(base),
-            secs(clocks.store + clocks.scan),
-            secs(dynamic.store + dynamic.scan),
-            speedup
+            s.tasks,
+            s.edges,
+            s.bytes,
+            r.visits_per_search(),
+            secs(r.build),
+            secs(r.races()),
+            secs(r.probe)
         );
         csv.push_str(&format!(
-            "{ranks},{},{},{},{},{:.2},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.2}\n",
-            cs.tasks,
-            cs.edges,
-            cs.lanes,
-            cs.clock_entries,
-            visits_per_search(ds),
-            cs.bytes,
-            ds.bytes,
-            base.as_secs_f64(),
-            clocks.build.as_secs_f64(),
-            dynamic.build.as_secs_f64(),
-            races_secs(&clocks),
-            races_secs(&dynamic),
-            speedup
+            "{ranks},{},{},{},{:.2},{:.6},{:.6},{:.6},{:.6}\n",
+            s.tasks,
+            s.edges,
+            s.bytes,
+            r.visits_per_search(),
+            r.build.as_secs_f64(),
+            r.scan.as_secs_f64(),
+            r.races().as_secs_f64(),
+            r.probe.as_secs_f64()
         ));
-        let engines = [&clocks, &dynamic]
-            .iter()
-            .map(|r| {
-                format!(
-                    "        {{\"name\": \"{}\", \"build_ns\": {}, \"store_ns\": {}, \
-                     \"scan_ns\": {}, \"probe_ns\": {}, \"races_ns\": {}, \"bytes\": {}, \
-                     \"clock_entries\": {}, \"visits_per_search\": {:.2}}}",
-                    r.engine.name(),
-                    r.build.as_nanos(),
-                    r.store.as_nanos(),
-                    r.scan.as_nanos(),
-                    r.probe.as_nanos(),
-                    (r.store + r.scan).as_nanos(),
-                    r.stats.bytes,
-                    r.stats.clock_entries,
-                    visits_per_search(&r.stats)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        scale_json.push(format!(
-            "    {{\n      \"ranks\": {ranks},\n      \"tasks\": {},\n      \"edges\": {},\n      \
-             \"base_ns\": {},\n      \"engines\": [\n{engines}\n      ],\n      \
-             \"speedup\": {speedup:.2}\n    }}",
-            cs.tasks,
-            cs.edges,
-            base.as_nanos()
-        ));
-        entry_points.push(((cs.tasks + cs.edges) as f64, cs.clock_entries as f64));
-        dyn_points.push((ds.tasks as f64, ds.bytes as f64));
-        top = Some((ranks, speedup, cs.bytes as u64, ds.bytes as u64, clocks, dynamic));
+        scale_json.push(format!("    {{\"ranks\": {ranks}, {}}}", r.json_fields()));
+        byte_points.push((s.tasks as f64, s.bytes as f64));
+        top = Some((ranks, r));
     }
 
-    // Scaling exponents across the sweep: the clock pool picks up the
-    // merge tree's log-depth factor over tasks + edges (slope near 1,
-    // decisively below the dense matrix's 2), while the dynamic store
-    // is exactly linear in tasks.
-    let slope = loglog_slope(&entry_points);
-    println!("clock-entry scaling exponent vs tasks+edges: {slope:.3}");
-    assert!(
-        (0.8..=1.35).contains(&slope),
-        "clock store must scale near-linearly in tasks + edges (slope {slope:.3})"
-    );
-    let dyn_slope = loglog_slope(&dyn_points);
-    println!("dynamic-store byte scaling exponent vs tasks: {dyn_slope:.3}");
-    assert!(
-        (0.9..=1.1).contains(&dyn_slope),
-        "dynamic store must scale linearly in tasks (slope {dyn_slope:.3})"
-    );
+    // The index is exactly linear in tasks across the sweep.
+    let slope = loglog_slope(&byte_points);
+    println!("index byte scaling exponent vs tasks: {slope:.3}");
+    assert!((0.9..=1.1).contains(&slope), "index must scale linearly in tasks (slope {slope:.3})");
 
     // The dense end: LULESH, whose 3-D halo gives the densest causal
-    // relation of the generators (the shape on which a store of
-    // per-task exception intervals grows to hundreds of bytes per
-    // task). The reachability core's footprint does not depend on the
-    // shape: the same bounded words per task, plus one per edge.
-    let dense = lulesh_charm(&LuleshParams::scaling(4, 8));
-    let dense_cfg = Config::charm();
-    let dense_ix = dense.index();
-    let dense_pairs = probe_pairs(dense.tasks.len(), 0x9E37_79B9_7F4A_7C15);
-    let (_, dense_base) = best(reps, || HbBase::build(&dense, &dense_ix, causal_mode(&dense_cfg)));
-    let run =
-        |engine| run_engine(&dense, &dense_ix, &dense_cfg, engine, reps, dense_base, &dense_pairs);
-    let (dense_clocks, dense_dyn) = (run(HbEngine::Clocks), run(HbEngine::Dynamic));
-    assert_eq!(
-        dense_clocks.answers, dense_dyn.answers,
-        "lulesh: engines disagree on the query workload"
-    );
-    let ds = &dense_dyn.stats;
+    // relation of the generators. The reachability core's footprint
+    // does not depend on the shape: the same bounded words per task,
+    // plus one per edge.
+    let dense_trace = lulesh_charm(&LuleshParams::scaling(4, 8));
+    let dense_pairs = probe_pairs(dense_trace.tasks.len(), 0x9E37_79B9_7F4A_7C15);
+    let dense = run(&dense_trace, &Config::charm(), reps, &dense_pairs);
+    let ds = &dense.stats;
     assert!(
         ds.bytes <= 48 * ds.tasks + 4 * ds.edges + 1024,
-        "dynamic store {} B must stay O(tasks + edges) on lulesh ({} tasks, {} edges)",
+        "index {} B must stay O(tasks + edges) on lulesh ({} tasks, {} edges)",
         ds.bytes,
         ds.tasks,
         ds.edges
     );
-    let dense_speedup = races_secs(&dense_clocks) / races_secs(&dense_dyn).max(1e-12);
-    let dense_probe_ratio = probe_ratio(&dense_clocks, &dense_dyn);
     println!(
-        "lulesh 4x4x4: {} tasks, {} edges, clocks {} B, dynamic {} B ({:.1} B/task), \
-         {:.1} visits/search, query side {dense_speedup:.1}x faster, random probe \
-         {dense_probe_ratio:.2}x the clocks time",
+        "lulesh 4x4x4: {} tasks, {} edges, {} B ({:.1} B/task), query side {}, random probe \
+         {} at {:.1} visits/search",
         ds.tasks,
         ds.edges,
-        dense_clocks.stats.bytes,
         ds.bytes,
         ds.bytes as f64 / ds.tasks as f64,
-        visits_per_search(ds)
+        secs(dense.races()),
+        secs(dense.probe),
+        dense.visits_per_search()
     );
 
-    let (top_ranks, top_speedup, top_clocks_bytes, top_dyn_bytes, top_clocks, top_dyn) =
-        top.expect("non-empty sweep");
-    let top_probe_ratio = probe_ratio(&top_clocks, &top_dyn);
-    println!(
-        "{top_ranks}-rank random probe: clocks {}, dynamic {} ({top_probe_ratio:.2}x)",
-        secs(top_clocks.probe),
-        secs(top_dyn.probe)
-    );
-    // Opt-in regression gate (`LSR_BENCH_RACES=1`), timing-based like
-    // `LSR_BENCH_SCALING`: the top rung must hold the 5x acceptance
-    // line (or at least half the committed figure, so a noisy host
-    // cannot silently halve the win), dynamic memory must not regress
-    // past 1.5x the committed bytes, and a single query must not slow
-    // down: the probe-time ratio to the clock engine stays within 1.5x
-    // the committed ratio.
+    let (top_ranks, top) = top.expect("non-empty sweep");
+    // Opt-in regression gate (`LSR_BENCH_RACES=1`). Bytes and search
+    // visits are deterministic, so they are gated tightly; the query
+    // time is host-dependent, so it only fails past 2x.
     if std::env::var("LSR_BENCH_RACES").map(|v| v == "1").unwrap_or(false) {
-        let Some((committed_speedup, committed_bytes, committed_ratio)) = committed else {
-            panic!("LSR_BENCH_RACES=1 but no committed {} to gate against", races_path.display())
+        let Some(c) = committed else {
+            panic!(
+                "LSR_BENCH_RACES=1 but no committed lsr-bench-races/3 {} to gate against",
+                races_path.display()
+            )
         };
-        let floor = 5.0_f64.max(committed_speedup / 2.0);
+        let bytes = top.stats.bytes as u64;
         assert!(
-            top_speedup >= floor,
-            "{top_ranks}-rank query-side speedup {top_speedup:.2}x below the gate floor \
-             {floor:.2}x (committed: {committed_speedup:.2}x)"
+            bytes <= c.bytes,
+            "{top_ranks}-rank index {bytes} B grew past the committed {} B",
+            c.bytes
         );
+        let races_ns = top.races().as_nanos() as u64;
         assert!(
-            top_dyn_bytes as f64 <= committed_bytes as f64 * 1.5,
-            "{top_ranks}-rank dynamic store {top_dyn_bytes} B regressed past 1.5x the \
-             committed {committed_bytes} B"
+            races_ns <= 2 * c.races_ns,
+            "{top_ranks}-rank query side {races_ns} ns regressed past 2x the committed {} ns",
+            c.races_ns
         );
-        assert!(
-            top_probe_ratio <= committed_ratio * 1.5,
-            "{top_ranks}-rank random probe at {top_probe_ratio:.2}x the clocks time, past \
-             1.5x the committed {committed_ratio:.2}x"
-        );
-        println!(
-            "  races gate: {top_ranks}-rank speedup {top_speedup:.2}x >= {floor:.2}x, \
-             memory and probe time within bounds"
-        );
+        for (row, now, then) in [
+            ("top rung", top.visits_per_search(), c.top_visits),
+            ("lulesh", dense.visits_per_search(), c.dense_visits),
+        ] {
+            assert!(
+                now <= then * 1.5,
+                "{row}: {now:.2} visits/search, past 1.5x the committed {then:.2}"
+            );
+        }
+        println!("  races gate: bytes, query time and search visits within bounds");
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"race_scaling\",\n  \"schema\": \"lsr-bench-races/2\",\n  \
-         \"scales\": [\n{}\n  ],\n  \"dense\": {{\n    \"workload\": \"lulesh 4x4x4\",\n    \
-         \"tasks\": {},\n    \"edges\": {},\n    \"speedup\": {dense_speedup:.2},\n    \
-         \"clocks_bytes\": {},\n    \"dynamic_bytes\": {},\n    \
-         \"clocks_probe_ns\": {},\n    \"dynamic_probe_ns\": {},\n    \
-         \"probe_ratio\": {dense_probe_ratio:.2},\n    \
-         \"visits_per_search\": {:.2}\n  }},\n  \
-         \"top\": {{\n    \"ranks\": {top_ranks},\n    \
-         \"speedup\": {top_speedup:.2},\n    \"clocks_bytes\": {top_clocks_bytes},\n    \
-         \"dynamic_bytes\": {top_dyn_bytes},\n    \"clocks_probe_ns\": {},\n    \
-         \"dynamic_probe_ns\": {},\n    \"probe_ratio\": {top_probe_ratio:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"race_scaling\",\n  \"schema\": \"lsr-bench-races/3\",\n  \
+         \"scales\": [\n{}\n  ],\n  \
+         \"dense\": {{\"workload\": \"lulesh 4x4x4\", {}}},\n  \
+         \"top\": {{\"ranks\": {top_ranks}, {}}}\n}}\n",
         scale_json.join(",\n"),
-        ds.tasks,
-        ds.edges,
-        dense_clocks.stats.bytes,
-        ds.bytes,
-        dense_clocks.probe.as_nanos(),
-        dense_dyn.probe.as_nanos(),
-        visits_per_search(ds),
-        top_clocks.probe.as_nanos(),
-        top_dyn.probe.as_nanos()
+        dense.json_fields(),
+        top.json_fields()
     );
     write_artifact("BENCH_races.json", &json);
     write_artifact("exp_race_scaling.csv", &csv);
     println!(
-        "=> the dynamic engine answers identically, {top_speedup:.1}x faster on the query side \
-         at {top_ranks} ranks, in O(tasks) memory"
+        "=> {top_ranks} ranks: race-free, query side {} in O(tasks) memory ({:.1} B/task)",
+        secs(top.races()),
+        top.stats.bytes as f64 / top.stats.tasks as f64
     );
 }

@@ -310,18 +310,20 @@ impl Reach {
     }
 
     /// Mutation hook: drop every successor of `u` outside its forest
-    /// subtree for which `drop` holds, as if those edges had been lost
-    /// on insertion. Labels stay as built. Returns whether any edge
-    /// went. Test-only.
+    /// subtree, as if those edges had been lost on insertion. Labels
+    /// stay as built. Returns whether any edge went. Test-only.
     #[doc(hidden)]
-    pub fn corrupt_drop_edges(&mut self, u: u32, drop: impl Fn(u32) -> bool) -> bool {
+    pub fn corrupt_drop_edges(&mut self, u: u32) -> bool {
         let ui = u as usize;
+        if ui >= self.len() {
+            return false;
+        }
         let (s0, s1) = (self.succ_off[ui] as usize, self.succ_off[ui + 1] as usize);
         let lu = self.labels[ui];
         let kept: Vec<u32> = self.succ[s0..s1]
             .iter()
             .copied()
-            .filter(|&v| lu.covers(self.labels[v as usize].post) || !drop(v))
+            .filter(|&v| lu.covers(self.labels[v as usize].post))
             .collect();
         let removed = (s1 - s0 - kept.len()) as u32;
         if removed == 0 {
@@ -579,8 +581,8 @@ mod tests {
         let core = || ReachOracle::build(&two_joined_trees()).unwrap().core;
         let mut r = core();
         assert!(r.reaches_strictly(3, 5));
-        assert!(!r.corrupt_drop_edges(1, |v| v == 5), "tree edges are never dropped");
-        assert!(r.corrupt_drop_edges(4, |v| v == 5));
+        assert!(!r.corrupt_drop_edges(1), "tree edges are never dropped");
+        assert!(r.corrupt_drop_edges(4));
         assert!(!r.reaches_strictly(3, 5), "the dropped edge was the only path");
 
         let mut r = core();

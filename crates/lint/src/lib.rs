@@ -38,7 +38,6 @@
 mod analyze;
 mod diag;
 mod hb;
-mod hb_clocks;
 mod model;
 mod passes;
 mod race;
@@ -46,16 +45,14 @@ mod race;
 pub use analyze::analyze_structure;
 pub use diag::{Diagnostic, Location, Severity};
 #[doc(hidden)]
-pub use hb::HbBase;
-#[doc(hidden)]
 pub use hb::HbCorruption;
-pub use hb::{HbEngine, HbIndex, HbMode, HbQuery, HbStats, ScheduleOracle};
+pub use hb::{HbIndex, HbMode, HbStats};
 pub use model::{model_diagnostics, model_report_json};
 #[doc(hidden)]
 pub use race::analyze_races_with_index;
 pub use race::{
-    analyze_races, analyze_races_with, causal_mode, classify, swap_adjacent_delivery,
-    swappable_races, Race, RaceClass, RaceReport, RaceScope, UntracedPair,
+    analyze_races, causal_mode, classify, swap_adjacent_delivery, swappable_races, Race, RaceClass,
+    RaceReport, RaceScope, UntracedPair,
 };
 
 use lsr_core::{Config, LogicalStructure, StageSnapshot};

@@ -3,7 +3,7 @@
 //! `docs/lints.md`.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::hb::{HbIndex, HbQuery};
+use crate::hb::HbIndex;
 use lsr_core::{
     ExtractError, InvariantViolation, LogicalStructure, StageSnapshot, StructureVerifier,
 };
@@ -220,9 +220,9 @@ fn hb_diagnostics(trace: &Trace, hb: &HbIndex, limit: usize) -> Vec<Diagnostic> 
 /// H003 and the race pass's R004 cross-link: the earliest spontaneous
 /// task on the destination chare that starts after the send and is not
 /// already ordered after the sender.
-pub(crate) fn untraced_candidate<Q: HbQuery>(
+pub(crate) fn untraced_candidate(
     trace: &Trace,
-    hb: &Q,
+    hb: &HbIndex,
     m: &lsr_trace::MsgRec,
 ) -> Option<lsr_trace::TaskId> {
     let from = trace.event(m.send_event).task;
@@ -238,7 +238,7 @@ pub(crate) fn untraced_candidate<Q: HbQuery>(
                 && t.begin >= m.send_time
                 && t.sink
                     .is_none_or(|s| matches!(trace.event(s).kind, EventKind::Recv { msg: None }))
-                && !hb.ordered_before(from, t.id)
+                && !hb.happens_before(from, t.id)
         })
         .min_by_key(|t| (t.begin, t.id))
         .map(|t| t.id)

@@ -34,7 +34,7 @@
 //! to H003 candidates), R005 enumeration truncated.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::hb::{HbEngine, HbIndex, HbMode, HbStats};
+use crate::hb::{HbIndex, HbMode, HbStats};
 use crate::passes;
 use lsr_core::{Config, MergeProvenance, TraceModel};
 use lsr_trace::{ChareId, PeId, TaskId, Time, Trace, TraceIndex};
@@ -124,11 +124,9 @@ pub struct RaceReport {
     pub scanned_pairs: usize,
     /// True when enumeration stopped at the limit (R005 reported).
     pub truncated: bool,
-    /// Store statistics of the causal happened-before index (engine-
-    /// versioned: clock-family or search-family counters, depending on
-    /// the [`HbEngine`] used). Deliberately absent from
-    /// [`RaceReport::to_json`], which stays engine-agnostic so both
-    /// engines produce byte-identical reports.
+    /// Size and search statistics of the causal happened-before index.
+    /// Deliberately absent from [`RaceReport::to_json`]: they describe
+    /// the index, not the trace.
     pub hb_stats: HbStats,
 }
 
@@ -246,26 +244,13 @@ fn message_triggered(trace: &Trace, t: TaskId) -> bool {
 /// causal cycle witness as `Err` when the causal relation is not a
 /// partial order (a corrupt trace — run [`crate::lint_trace`] first).
 pub fn analyze_races(trace: &Trace, cfg: &Config, limit: usize) -> Result<RaceReport, Vec<TaskId>> {
-    analyze_races_with(trace, cfg, limit, HbEngine::default())
-}
-
-/// [`analyze_races`] with an explicit happened-before engine (`lsr
-/// races --engine`). Both engines answer every query identically, so
-/// the report — diagnostics, JSON, counts — is byte-identical across
-/// engines; only [`RaceReport::hb_stats`] differs.
-pub fn analyze_races_with(
-    trace: &Trace,
-    cfg: &Config,
-    limit: usize,
-    engine: HbEngine,
-) -> Result<RaceReport, Vec<TaskId>> {
     let ix = trace.index();
-    let causal = HbIndex::build_with_engine(trace, &ix, causal_mode(cfg), engine);
+    let causal = HbIndex::build_with_mode(trace, &ix, causal_mode(cfg));
     analyze_with_index(trace, &ix, cfg, limit, &causal)
 }
 
 /// [`analyze_races`] over a pre-built causal index. Mutation tests use
-/// this to feed a deliberately corrupted engine through the real scan
+/// this to feed a deliberately corrupted index through the real scan
 /// and watch the verdict flip; it is not API.
 #[doc(hidden)]
 pub fn analyze_races_with_index(
@@ -323,10 +308,9 @@ fn analyze_with_index(
     let hb_stats = causal.stats();
     cfg.recorder.add("lint.hb.queries", causal.query_count());
     cfg.recorder.add("lint.races.scanned_pairs", scanned as u64);
-    // Engine-store counters. The recorder drops zero deltas, so only
-    // the active engine's family shows up in a profile.
+    // Index counters. The recorder drops zero deltas, so a scan the
+    // labels settled alone shows no search counters.
     cfg.recorder.add("lint.hb.bytes", hb_stats.bytes as u64);
-    cfg.recorder.add("lint.hb.clock_entries", hb_stats.clock_entries as u64);
     cfg.recorder.add("lint.hb.searches", hb_stats.searches);
     cfg.recorder.add("lint.hb.search_visits", hb_stats.search_visits);
     Ok(RaceReport { races, untraced, diagnostics, scanned_pairs: scanned, truncated, hb_stats })
@@ -464,15 +448,12 @@ fn race_diagnostics(
     // untriggered member is also H003's untraced-receive candidate for
     // an unmatched message, the diagnostic names that message.
     if !untraced.is_empty() {
-        // Unmatched-message candidates, resolved once: TaskId -> MsgId.
-        // The schedule relation is consulted through the flow crate's
-        // reachability oracle rather than a second sparse-clock index:
-        // the candidate filter is almost entirely negative queries,
-        // which the oracle's level prune answers in O(1). `build`
-        // returns None on a cyclic schedule (H002 territory) — no
-        // candidates are resolvable then, matching the old behavior.
+        // Unmatched-message candidates, resolved once: TaskId -> MsgId,
+        // against the schedule relation H003 uses. A cyclic schedule
+        // (H002 territory) resolves no candidates.
         let mut candidates: Vec<(TaskId, lsr_trace::MsgId)> = Vec::new();
-        if let Some(sched) = crate::hb::ScheduleOracle::build(trace, ix) {
+        let sched = HbIndex::build(trace, ix);
+        if sched.cycle().is_empty() {
             for m in trace.msgs.iter().filter(|m| m.recv_task.is_none()) {
                 if let Some(c) = passes::untraced_candidate(trace, &sched, m) {
                     candidates.push((c, m.id));

@@ -134,9 +134,7 @@ fn print_help() {
          \u{20}  --json                       machine-readable report\n\
          \u{20}  --deny-structure-affecting   exit nonzero when a race can change\n\
          \u{20}                               the recovered structure (R002)\n\
-         \u{20}  --limit N                    cap reported races (default 64)\n\
-         \u{20}  --engine clocks|dynamic      happened-before engine (default dynamic);\n\
-         \u{20}                               both produce identical reports\n\n\
+         \u{20}  --limit N                    cap reported races (default 64)\n\n\
          AUDIT FLAGS (plus the extraction flags above)\n\
          \u{20}  --json                   machine-readable report\n\
          \u{20}  --limit N                cap findings (default 64); exits nonzero\n\
@@ -195,7 +193,6 @@ fn parse_opts(
         "motifs",
         "backend",
         "export",
-        "engine",
     ];
     const BOOL_FLAGS: &[&str] = &[
         "profile",
@@ -957,13 +954,8 @@ fn cmd_races(args: &[String]) -> Result<ExitCode, String> {
         None => lsr::lint::DEFAULT_DIAG_LIMIT,
         Some(v) => v.parse().map_err(|_| format!("--limit wants a number, got {v:?}"))?,
     };
-    let engine = match opts.get("engine") {
-        None => lsr::lint::HbEngine::default(),
-        Some(v) => lsr::lint::HbEngine::parse(v)
-            .ok_or_else(|| format!("--engine wants `clocks` or `dynamic`, got {v:?}"))?,
-    };
     let sp_races = obs.rec.span("races");
-    let report = lsr::lint::analyze_races_with(&trace, &cfg, limit, engine).map_err(|cyc| {
+    let report = lsr::lint::analyze_races(&trace, &cfg, limit).map_err(|cyc| {
         let shown: Vec<String> = cyc.iter().take(8).map(|t| t.to_string()).collect();
         format!(
             "causal happened-before cycle through {} task(s): {} — run `lsr lint` first",

@@ -496,57 +496,16 @@ fn shrink_minimizes_a_planted_corruption_to_a_replayable_reproducer() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ---------------------------------------------------------------------------
-// Engine selection: `lsr races --engine {clocks,dynamic}`.
-
-/// Deprecation hygiene for the engine rebuild: on every generator
-/// preset, `--engine clocks` and `--engine dynamic` produce identical
-/// `--json` race reports (the engine is an implementation choice, not
-/// a semantic one), the default run matches both, and a bad value is
-/// rejected with the flag's vocabulary.
+/// `lsr races` has one happened-before index and no engine switch:
+/// `--engine` is an unknown flag like any other, failing with the
+/// usage error and exit status 1.
 #[test]
-fn races_engine_choice_never_changes_the_json_report() {
+fn races_rejects_the_engine_flag() {
     let dir = temp_dir("engine");
-    // Every preset with the extraction flags its app family needs.
-    let presets: &[(&str, &[&str])] = &[
-        ("jacobi-fig8", &[]),
-        ("jacobi-fig15", &[]),
-        ("lulesh-charm", &[]),
-        ("lulesh-mpi", &["--mpi"]),
-        ("lassen8", &[]),
-        ("lassen64", &[]),
-        ("lassen-mpi", &["--mpi"]),
-        ("pdes", &[]),
-        ("mergetree", &["--mpi", "--no-process-order"]),
-        ("bt", &["--mpi"]),
-        ("divcon", &[]),
-    ];
-    for (preset, flags) in presets {
-        let file = format!("{preset}.lsrtrace");
-        assert!(lsr(&["gen", preset, "--out", &file], &dir).status.success(), "{preset}");
-        let mut base: Vec<&str> = vec!["races", &file, "--json"];
-        base.extend_from_slice(flags);
-        let default = lsr(&base, &dir);
-        let mut reports = Vec::new();
-        for engine in ["clocks", "dynamic"] {
-            let mut args = base.clone();
-            args.extend_from_slice(&["--engine", engine]);
-            let out = lsr(&args, &dir);
-            assert_eq!(
-                out.status.code(),
-                default.status.code(),
-                "{preset}: --engine {engine} must not change the exit code"
-            );
-            reports.push(stdout(&out));
-        }
-        assert_eq!(reports[0], reports[1], "{preset}: engines must emit identical JSON");
-        assert_eq!(reports[0], stdout(&default), "{preset}: default engine matches");
-    }
-
-    // A bad value names the accepted vocabulary.
-    let out = lsr(&["races", "jacobi-fig8.lsrtrace", "--engine", "dense"], &dir);
-    assert!(!out.status.success());
+    assert!(lsr(&["gen", "jacobi-fig8", "--out", "j.lsrtrace"], &dir).status.success());
+    let out = lsr(&["races", "j.lsrtrace", "--engine", "clocks"], &dir);
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("clocks") && err.contains("dynamic"), "{err}");
+    assert!(err.contains("unknown flag --engine"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -118,7 +118,7 @@ fn every_emitted_counter_is_documented() {
     for dir in ["src", "crates"] {
         scan_counters(&root.join(dir), &mut emitted);
     }
-    // The fuzz sweep and happened-before engine counters must be part
+    // The fuzz sweep and happened-before index counters must be part
     // of the scan (guards both the scanner and the instrumentation
     // against silent renames).
     for name in [
@@ -132,7 +132,6 @@ fn every_emitted_counter_is_documented() {
         "fuzz.shrunk",
         "lint.hb.queries",
         "lint.hb.bytes",
-        "lint.hb.clock_entries",
         "lint.hb.searches",
         "lint.hb.search_visits",
         "flow.oracle.searches",

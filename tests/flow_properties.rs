@@ -4,10 +4,10 @@
 //! Three agreements are checked on arbitrary inputs, not just the
 //! shapes the proxy apps produce:
 //!
-//! * the [`ScheduleOracle`] (the bound-pruned reachability core)
-//!   answers exactly like the epoch-clock [`HbIndex`] engine over the
-//!   schedule relation — two independently engineered indexes of the
-//!   same partial order;
+//! * the reachability core answers exactly like a DFS transitive
+//!   closure, both on random DAGs ([`ReachOracle`]) and over the
+//!   schedule relation of the presets and of random tape traces
+//!   ([`HbIndex`]);
 //! * dropping every D002-redundant edge (the transitive reduction)
 //!   preserves the reachability relation of a DAG;
 //! * the pipeline's iterative SCC ([`DiGraph::sccs`]) and the audit
@@ -17,37 +17,33 @@ mod support;
 
 use lsr::core::graph::DiGraph;
 use lsr::flow::{FlowGraph, ReachOracle};
-use lsr::lint::{HbEngine, HbIndex, HbMode, HbQuery, ScheduleOracle};
+use lsr::lint::{HbIndex, HbMode};
 use lsr::trace::{TaskId, Trace};
 use proptest::prelude::*;
 
-/// Asserts the two schedule indexes agree on every pair (small traces)
-/// or a deterministic sample of pairs (large ones). The `HbIndex` side
-/// runs the epoch-clock engine: the default engine shares the oracle's
-/// reachability core, so only the clocks keep the comparison
-/// independent.
-fn assert_indexes_agree(name: &str, tr: &Trace) {
+/// Asserts the schedule-mode index agrees with the reference closure
+/// on every pair (small traces) or a deterministic sample of pairs
+/// (large ones).
+fn assert_matches_closure(name: &str, tr: &Trace) {
     let ix = tr.index();
-    let hb = HbIndex::build_with_engine(tr, &ix, HbMode::Schedule, HbEngine::Clocks);
+    let hb = HbIndex::build_with_mode(tr, &ix, HbMode::Schedule);
     assert!(hb.cycle().is_empty(), "{name}: schedule must be acyclic");
-    let oracle = ScheduleOracle::build(tr, &ix)
-        .unwrap_or_else(|| panic!("{name}: oracle must build on an acyclic schedule"));
+    let closure = support::dfs_closure(&support::hb_edges(tr, &ix, HbMode::Schedule));
     let n = tr.tasks.len();
     let stride = (n / 64).max(1); // full cross-product on small traces
-    for a in (0..n).step_by(stride) {
-        for b in (0..n).step_by(stride) {
-            let (ta, tb) = (TaskId(a as u32), TaskId(b as u32));
+    for a in (0..n as u32).step_by(stride) {
+        for b in (0..n as u32).step_by(stride) {
             assert_eq!(
-                hb.happens_before(ta, tb),
-                oracle.ordered_before(ta, tb),
-                "{name}: {ta:?} -> {tb:?}"
+                hb.happens_before(TaskId(a), TaskId(b)),
+                closure.reaches(a, b),
+                "{name}: {a} -> {b}"
             );
         }
     }
 }
 
 #[test]
-fn schedule_oracle_matches_hb_index_on_presets() {
+fn hb_index_matches_closure_on_presets() {
     use lsr::apps::{
         bt_mpi, divcon_charm, jacobi2d, lassen_charm, lulesh_charm, lulesh_mpi, mergetree_mpi,
         pdes_charm, BtParams, DivConParams, JacobiParams, LassenParams, LuleshParams,
@@ -65,7 +61,7 @@ fn schedule_oracle_matches_hb_index_on_presets() {
         ("divcon", divcon_charm(&DivConParams::small())),
     ];
     for (name, tr) in cases {
-        assert_indexes_agree(name, &tr);
+        assert_matches_closure(name, &tr);
     }
 }
 
@@ -86,8 +82,9 @@ fn dag_from_tape(n: usize, tape: &[u8]) -> Vec<(u32, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The two schedule indexes agree on arbitrary tape-generated
-    /// workloads (unmatched messages, broadcasts, runtime chares).
+    /// The schedule-mode index agrees with the DFS closure of the
+    /// schedule relation on arbitrary tape-generated workloads
+    /// (unmatched messages, broadcasts, runtime chares).
     #[test]
     fn schedule_oracle_matches_hb_index_on_random_traces(
         pes in 1u32..5,
@@ -95,7 +92,7 @@ proptest! {
         tape in proptest::collection::vec(any::<u8>(), 0..250),
     ) {
         let tr = support::trace_from_tape(pes, chares, &tape);
-        assert_indexes_agree("tape", &tr);
+        assert_matches_closure("tape", &tr);
     }
 
     /// The oracle agrees with a brute-force DFS closure on random DAGs.
@@ -107,12 +104,12 @@ proptest! {
         let edges = dag_from_tape(n, &tape);
         let g = FlowGraph::from_edges(n, edges.iter().copied());
         let oracle = ReachOracle::build(&g).expect("u < v edges form a DAG");
-        let closure = dfs_closure(n, &g.succs);
+        let closure = support::dfs_closure(&g.succs);
         for u in 0..n as u32 {
             for v in 0..n as u32 {
                 prop_assert_eq!(
                     oracle.strictly_reaches(u, v),
-                    u != v && closure[u as usize][v as usize],
+                    closure.reaches(u, v),
                     "{} -> {}", u, v
                 );
             }
@@ -176,22 +173,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Reference reachability: one DFS per source.
-fn dfs_closure(n: usize, succs: &[Vec<u32>]) -> Vec<Vec<bool>> {
-    let mut reach = vec![vec![false; n]; n];
-    for (s, row) in reach.iter_mut().enumerate() {
-        let mut stack = vec![s as u32];
-        row[s] = true;
-        while let Some(u) = stack.pop() {
-            for &v in &succs[u as usize] {
-                if !row[v as usize] {
-                    row[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    reach
 }

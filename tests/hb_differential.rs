@@ -1,23 +1,24 @@
-//! Differential suite for the two happened-before engines: the
-//! epoch-clock baseline (`HbEngine::Clocks`) and the dynamic
-//! partial-order engine (`HbEngine::Dynamic`) must answer every
-//! reachability query identically — on every generator preset, on
-//! adversarial tape-generated traces, and across a seeded `lsr-fuzz`
-//! scenario sweep — and `analyze_races` must produce byte-identical
-//! reports through either. The planted-corruption tests close the
-//! loop: each engine corruption kind must be *caught* by this suite's
-//! oracle, flipping a race verdict against the clocks baseline.
+//! Differential suite for the happened-before index: `HbIndex` and a
+//! reference closure must be two engines that agree. The reference
+//! builds each mode's generating edges straight from the trace
+//! (`support::hb_edges`) and closes them with one DFS per task
+//! (`support::dfs_closure`); it shares neither edge construction,
+//! topological order nor labels with the index. The two must agree on
+//! every reachability query and every cycle verdict — on every
+//! generator preset, on adversarial tape-generated traces, and across a
+//! seeded `lsr-fuzz` scenario sweep — and the race scan built on the
+//! index must report exactly the stream pairs the closure leaves
+//! unordered. The planted-corruption tests close the loop: each index
+//! corruption kind must be *caught*, flipping a race verdict.
 
 mod support;
 
 use lsr_core::Config;
 use lsr_lint::{
-    analyze_races_with, analyze_races_with_index, causal_mode, HbCorruption, HbEngine, HbIndex,
-    HbMode,
+    analyze_races, analyze_races_with_index, causal_mode, HbCorruption, HbIndex, HbMode,
 };
 use lsr_trace::{TaskId, Trace};
 use proptest::prelude::*;
-
 /// All eleven generator presets with their CLI extraction
 /// configurations (mirrors `tests/obs_properties.rs`).
 fn presets() -> Vec<(&'static str, Trace, Config)> {
@@ -49,64 +50,96 @@ fn modes(cfg: &Config) -> [HbMode; 2] {
     [HbMode::Schedule, causal_mode(cfg)]
 }
 
-/// Exhaustive agreement on one trace and mode: both engines must give
-/// the same cycle witness and the same answer for *every* ordered task
-/// pair — not a sampled workload. Returns how many of those queries the
-/// dynamic engine answered through its pruned search.
-fn assert_engines_agree(name: &str, trace: &Trace, mode: HbMode) -> u64 {
+/// Exhaustive agreement on one trace and mode: the index must find a
+/// cycle exactly when the closure does, with a witness made of
+/// reference edges, and otherwise give the closure's answer for
+/// *every* ordered task pair — not a sampled workload. Returns how many
+/// of those queries the index answered through its pruned search.
+fn assert_matches_closure(name: &str, trace: &Trace, mode: HbMode) -> u64 {
     let ix = trace.index();
-    let clocks = HbIndex::build_with_engine(trace, &ix, mode, HbEngine::Clocks);
-    let dynamic = HbIndex::build_with_engine(trace, &ix, mode, HbEngine::Dynamic);
-    assert_eq!(
-        clocks.cycle(),
-        dynamic.cycle(),
-        "{name} {mode:?}: engines must report the same cycle witness"
-    );
-    let n = trace.tasks.len();
-    for a in 0..n as u32 {
-        for b in 0..n as u32 {
-            let (ta, tb) = (TaskId(a), TaskId(b));
+    let hb = HbIndex::build_with_mode(trace, &ix, mode);
+    let edges = support::hb_edges(trace, &ix, mode);
+    let closure = support::dfs_closure(&edges);
+    if !closure.is_acyclic() {
+        let cyc = hb.cycle();
+        assert!(!cyc.is_empty(), "{name} {mode:?}: the closure has a cycle, the index none");
+        for (i, a) in cyc.iter().enumerate() {
+            let b = cyc[(i + 1) % cyc.len()];
+            assert!(edges[a.index()].contains(&b.0), "{name} {mode:?}: witness {cyc:?}");
+        }
+        return 0;
+    }
+    assert!(hb.cycle().is_empty(), "{name} {mode:?}: spurious cycle {:?}", hb.cycle());
+    let n = trace.tasks.len() as u32;
+    for a in 0..n {
+        for b in 0..n {
             assert_eq!(
-                clocks.happens_before(ta, tb),
-                dynamic.happens_before(ta, tb),
-                "{name} {mode:?}: engines disagree on {a} -> {b}"
+                hb.happens_before(TaskId(a), TaskId(b)),
+                closure.reaches(a, b),
+                "{name} {mode:?}: index and closure disagree on {a} -> {b}"
             );
         }
     }
-    dynamic.stats().searches
+    hb.stats().searches
 }
 
-/// Both engines agree on every task pair of every preset, in both the
-/// schedule and the causal relation — including queries only the
-/// dynamic engine's pruned search can settle.
+/// The race scan checked against the closure: the pairs
+/// `analyze_races` reports (races and untraced pairs) must be exactly
+/// the schedule-adjacent pairs of each serial stream — each
+/// application chare, and each PE's runtime tasks — that the causal
+/// closure leaves unordered.
+fn assert_race_pairs_match_closure(name: &str, trace: &Trace, cfg: &Config) {
+    let report =
+        analyze_races(trace, cfg, usize::MAX).unwrap_or_else(|c| panic!("{name}: cyclic: {c:?}"));
+    let ix = trace.index();
+    let closure = support::dfs_closure(&support::hb_edges(trace, &ix, causal_mode(cfg)));
+    let runtime = |t: &TaskId| trace.task_is_runtime(*t);
+    let chares = ix.tasks_by_chare.iter().filter(|l| !l.first().is_some_and(runtime)).cloned();
+    let pes = ix.tasks_by_pe.iter().map(|l| l.iter().copied().filter(runtime).collect::<Vec<_>>());
+    let (mut scanned, mut expected) = (0, Vec::new());
+    for stream in chares.chain(pes) {
+        for w in stream.windows(2) {
+            scanned += 1;
+            if !closure.reaches(w[0].0, w[1].0) && !closure.reaches(w[1].0, w[0].0) {
+                expected.push((w[0], w[1]));
+            }
+        }
+    }
+    let mut reported: Vec<(TaskId, TaskId)> =
+        report.races.iter().map(|r| (r.first, r.second)).collect();
+    reported.extend(report.untraced.iter().map(|u| (u.first, u.second)));
+    reported.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(report.scanned_pairs, scanned, "{name}: scanned pairs");
+    assert_eq!(reported, expected, "{name}: reported pairs differ from the closure's");
+}
+
+/// The index and the closure agree on every task pair of every preset,
+/// in both the schedule and the causal relation — including queries
+/// only the index's pruned search can settle.
 #[test]
 fn engines_agree_on_all_pairs_of_every_preset() {
     let mut searches = 0;
     for (name, trace, cfg) in presets() {
         for mode in modes(&cfg) {
-            searches += assert_engines_agree(name, &trace, mode);
+            searches += assert_matches_closure(name, &trace, mode);
         }
     }
     assert!(searches > 0, "the presets must exercise the pruned search");
 }
 
-/// `analyze_races` is engine-independent on every preset: the full
-/// report — diagnostics, classifications, JSON — is byte-identical.
+/// On every preset, `analyze_races` reports exactly the stream pairs
+/// the closure leaves concurrent.
 #[test]
 fn race_reports_are_identical_across_engines_on_every_preset() {
     for (name, trace, cfg) in presets() {
-        let rep_c = analyze_races_with(&trace, &cfg, 1_000_000, HbEngine::Clocks)
-            .unwrap_or_else(|c| panic!("{name}: cyclic: {c:?}"));
-        let rep_d = analyze_races_with(&trace, &cfg, 1_000_000, HbEngine::Dynamic)
-            .unwrap_or_else(|c| panic!("{name}: cyclic: {c:?}"));
-        assert_eq!(rep_c.to_json(), rep_d.to_json(), "{name}: reports must be byte-identical");
-        assert_eq!(rep_c.to_string(), rep_d.to_string(), "{name}");
+        assert_race_pairs_match_closure(name, &trace, &cfg);
     }
 }
 
 /// A 64-scenario `lsr-fuzz` sweep through both simulator backends:
-/// engine agreement and report identity must hold on machine-generated
-/// program shapes, not just the curated presets.
+/// closure agreement and race-pair identity must hold on
+/// machine-generated program shapes, not just the curated presets.
 #[test]
 fn engines_agree_across_fuzz_scenario_sweep() {
     use lsr_fuzz::{emit, Backend, Motif, Scenario};
@@ -116,12 +149,10 @@ fn engines_agree_across_fuzz_scenario_sweep() {
             let trace = emit(&sc, backend);
             let cfg = backend.config();
             let name = format!("scenario{id}/{backend}");
-            assert_engines_agree(&name, &trace, causal_mode(&cfg));
-            let rep_c = analyze_races_with(&trace, &cfg, 10_000, HbEngine::Clocks)
-                .unwrap_or_else(|c| panic!("{name}: cyclic: {c:?}"));
-            let rep_d = analyze_races_with(&trace, &cfg, 10_000, HbEngine::Dynamic)
-                .unwrap_or_else(|c| panic!("{name}: cyclic: {c:?}"));
-            assert_eq!(rep_c.to_json(), rep_d.to_json(), "{name}");
+            for mode in modes(&cfg) {
+                assert_matches_closure(&name, &trace, mode);
+            }
+            assert_race_pairs_match_closure(&name, &trace, &cfg);
         }
     }
 }
@@ -129,7 +160,7 @@ fn engines_agree_across_fuzz_scenario_sweep() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine agreement on arbitrary tape-generated traces, across the
+    /// Closure agreement on arbitrary tape-generated traces, across the
     /// schedule relation and every causal variant the configurations
     /// reach.
     #[test]
@@ -139,27 +170,13 @@ proptest! {
         tape in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
         let trace = support::trace_from_tape(pes, chares, &tape);
-        let ix = trace.index();
         for mode in [
             HbMode::Schedule,
             HbMode::Causal { chare_order: true, sdag_order: false },
             HbMode::Causal { chare_order: false, sdag_order: true },
             HbMode::Causal { chare_order: false, sdag_order: false },
         ] {
-            let clocks = HbIndex::build_with_engine(&trace, &ix, mode, HbEngine::Clocks);
-            let dynamic = HbIndex::build_with_engine(&trace, &ix, mode, HbEngine::Dynamic);
-            prop_assert_eq!(clocks.cycle(), dynamic.cycle());
-            let n = trace.tasks.len();
-            for a in 0..n as u32 {
-                for b in 0..n as u32 {
-                    let (ta, tb) = (TaskId(a), TaskId(b));
-                    prop_assert_eq!(
-                        clocks.happens_before(ta, tb),
-                        dynamic.happens_before(ta, tb),
-                        "{:?}: disagree on {} -> {}", mode, a, b
-                    );
-                }
-            }
+            assert_matches_closure("tape", &trace, mode);
         }
     }
 }
@@ -168,17 +185,17 @@ proptest! {
 // Planted corruptions: each kind must flip a race verdict.
 // ---------------------------------------------------------------------
 
-/// The uncorrupted race report for a preset, computed through the
-/// clocks baseline (the oracle the corrupted engine is judged against).
+/// The uncorrupted race report for a preset (the closure tests above
+/// vouch for its verdicts).
 fn baseline_report(trace: &Trace, cfg: &Config) -> String {
-    analyze_races_with(trace, cfg, 1_000_000, HbEngine::Clocks).expect("acyclic").to_json()
+    analyze_races(trace, cfg, 1_000_000).expect("acyclic").to_json()
 }
 
-/// Runs the real race scan over a deliberately corrupted dynamic
-/// index; returns its report JSON when the corruption applied.
+/// Runs the real race scan over a deliberately corrupted index;
+/// returns its report JSON when the corruption applied.
 fn corrupted_report(trace: &Trace, cfg: &Config, c: HbCorruption) -> Option<String> {
     let ix = trace.index();
-    let mut hb = HbIndex::build_with_engine(trace, &ix, causal_mode(cfg), HbEngine::Dynamic);
+    let mut hb = HbIndex::build_with_mode(trace, &ix, causal_mode(cfg));
     if !hb.corrupt_for_tests(c) {
         return None;
     }
@@ -187,8 +204,8 @@ fn corrupted_report(trace: &Trace, cfg: &Config, c: HbCorruption) -> Option<Stri
 
 /// Finds a preset (and corruption site, when parameterized) where the
 /// corruption both applies and flips the race report against the
-/// clocks baseline — the differential oracle must be able to catch
-/// every corruption kind, not shrug it off.
+/// uncorrupted one — the suite must be able to catch every corruption
+/// kind, not shrug it off.
 fn assert_corruption_caught(kind: &str, sites: impl Fn(&Trace) -> Vec<HbCorruption>) {
     for (name, trace, cfg) in presets() {
         let baseline = baseline_report(&trace, &cfg);
@@ -209,9 +226,9 @@ fn every_task(trace: &Trace, site: impl Fn(TaskId) -> HbCorruption) -> Vec<HbCor
     (0..trace.tasks.len() as u32).map(|t| site(TaskId(t))).collect()
 }
 
-/// A dropped cross-lane edge (lost on insertion, so the pruned search
-/// cannot walk it) changes a concurrency verdict the race scan depends
-/// on.
+/// Dropped cross edges — a task's successors outside its forest
+/// subtree, lost on insertion so the pruned search cannot walk them —
+/// change a concurrency verdict the race scan depends on.
 #[test]
 fn dropped_cross_lane_edge_flips_a_race_verdict() {
     assert_corruption_caught("drop-cross-edge", |trace| {

@@ -1,14 +1,20 @@
 //! Shared helpers for the integration and property tests: a
 //! deterministic, tape-driven random workload generator producing valid
 //! traces with adversarial shapes (unmatched messages, broadcasts,
-//! runtime chares, idle gaps).
+//! runtime chares, idle gaps), and a reference happened-before relation
+//! (generating edges plus a DFS transitive closure) built without
+//! `HbIndex`.
 
-use lsr_trace::{ChareId, EntryId, Kind, MsgId, PeId, Time, Trace, TraceBuilder};
+use lsr_lint::HbMode;
+use lsr_trace::{
+    ChareId, EntryId, Kind, MsgId, PeId, TaskId, Time, Trace, TraceBuilder, TraceIndex,
+};
 
 /// Builds a trace from a byte tape. Every byte drives one decision, so
 /// proptest shrinking simplifies the workload monotonically. The
 /// generator maintains per-PE cursors and a pool of undelivered
 /// messages; invalid decisions degrade to no-ops.
+#[allow(dead_code)] // not every test binary uses every helper
 pub fn trace_from_tape(pes: u32, chares: u32, tape: &[u8]) -> Trace {
     assert!(pes > 0 && chares > 0);
     let mut b = TraceBuilder::new(pes);
@@ -139,4 +145,86 @@ pub fn all_configs() -> Vec<(&'static str, lsr_core::Config)> {
         ("mpi/baseline", Config::mpi_baseline()),
         ("mpi/no-order", Config::mpi().with_process_order(false)),
     ]
+}
+
+/// The generating edges of `mode`'s happened-before relation, as
+/// successor lists, built straight from the trace and its index: chains
+/// of consecutive tasks per PE (schedule), per chare (causal with chare
+/// order) or per chare over SDAG-managed entries (causal with SDAG
+/// order), plus one edge per matched message between distinct tasks.
+#[allow(dead_code)]
+pub fn hb_edges(trace: &Trace, ix: &TraceIndex, mode: HbMode) -> Vec<Vec<u32>> {
+    fn chain(succs: &mut [Vec<u32>], tasks: impl IntoIterator<Item = TaskId>) {
+        let mut tasks = tasks.into_iter();
+        let Some(mut prev) = tasks.next() else { return };
+        for t in tasks {
+            succs[prev.index()].push(t.0);
+            prev = t;
+        }
+    }
+    let mut succs = vec![Vec::new(); trace.tasks.len()];
+    match mode {
+        HbMode::Schedule => {
+            ix.tasks_by_pe.iter().for_each(|l| chain(&mut succs, l.iter().copied()))
+        }
+        HbMode::Causal { chare_order, sdag_order } => {
+            let sdag = |t: &TaskId| trace.entry(trace.task(*t).entry).sdag_serial.is_some();
+            for list in &ix.tasks_by_chare {
+                if chare_order {
+                    chain(&mut succs, list.iter().copied());
+                }
+                if sdag_order {
+                    chain(&mut succs, list.iter().copied().filter(sdag));
+                }
+            }
+        }
+    }
+    for m in &trace.msgs {
+        let from = trace.event(m.send_event).task;
+        match m.recv_task {
+            Some(to) if to != from => succs[from.index()].push(to.0),
+            _ => {}
+        }
+    }
+    succs
+}
+
+/// A strict transitive closure: bit `v` of row `u` is set iff a
+/// non-empty path runs from `u` to `v`.
+#[allow(dead_code)]
+pub struct Closure {
+    n: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+#[allow(dead_code)]
+impl Closure {
+    /// True iff a non-empty path runs from `u` to `v`.
+    pub fn reaches(&self, u: u32, v: u32) -> bool {
+        self.bits[u as usize * self.words + v as usize / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// True iff no node reaches itself.
+    pub fn is_acyclic(&self) -> bool {
+        (0..self.n as u32).all(|u| !self.reaches(u, u))
+    }
+}
+
+/// Reference reachability: one DFS per source over `succs`.
+#[allow(dead_code)]
+pub fn dfs_closure(succs: &[Vec<u32>]) -> Closure {
+    let (n, words) = (succs.len(), succs.len().div_ceil(64));
+    let mut bits = vec![0u64; n * words];
+    for (s, row) in bits.chunks_mut(words.max(1)).enumerate() {
+        let mut stack = succs[s].clone();
+        while let Some(u) = stack.pop() {
+            let (w, bit) = (u as usize / 64, 1u64 << (u % 64));
+            if row[w] & bit == 0 {
+                row[w] |= bit;
+                stack.extend_from_slice(&succs[u as usize]);
+            }
+        }
+    }
+    Closure { n, words, bits }
 }
