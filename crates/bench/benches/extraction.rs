@@ -43,15 +43,15 @@ fn bench_ordering_policy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_ordering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("abl_parallel_ordering");
+fn bench_ordering_threads(c: &mut Criterion) {
+    let mut group = c.benchmark_group("abl_ordering_threads");
     group.sample_size(10);
     let trace = lulesh_charm(&LuleshParams::scaling(6, 8));
     group.bench_function("serial", |b| {
         b.iter(|| extract(&trace, &Config::charm()));
     });
-    group.bench_function("parallel", |b| {
-        b.iter(|| extract(&trace, &Config::charm().with_parallel(true)));
+    group.bench_function("auto", |b| {
+        b.iter(|| extract(&trace, &Config::charm().with_threads(0)));
     });
     group.finish();
 }
@@ -61,6 +61,6 @@ criterion_group!(
     bench_iterations,
     bench_chares,
     bench_ordering_policy,
-    bench_parallel_ordering
+    bench_ordering_threads
 );
 criterion_main!(benches);

@@ -33,7 +33,7 @@ fn main() {
     row("no §3.1.4 inference", &trace, &Config::charm().with_inference(false));
     row("no app/runtime split", &trace, &Config::charm().with_split(false));
     row("no SDAG heuristics", &trace, &Config::charm().with_sdag(false));
-    row("parallel ordering", &trace, &Config::charm().with_parallel(true));
+    row("parallel ordering", &trace, &Config::charm().with_threads(0));
 
     // §5 ablation: the same application traced with and without the
     // process-local reduction events.

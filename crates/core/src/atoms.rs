@@ -10,7 +10,6 @@
 //! into a directly following serial.
 
 use crate::config::Config;
-use crate::pool::Pool;
 use lsr_trace::{ChareId, EventId, EventKind, Lane, MsgId, TaskId, Time, Trace, TraceIndex};
 
 /// The provenance of an atom-graph edge; the merge stages filter on it.
@@ -59,25 +58,17 @@ pub(crate) struct AtomGraph {
     pub edges: Vec<(u32, u32, EdgeKind)>,
     /// Atom pairs to be united before any merge stage (SDAG absorb).
     pub absorb: Vec<(u32, u32)>,
-    /// First/last atom per task (`u32::MAX` when the task has none).
+    /// First atom per task (`u32::MAX` when the task has none).
     pub first_atom_of_task: Vec<u32>,
-    /// Last atom per task; consumed by tests and kept for symmetry.
-    #[allow(dead_code)]
-    pub last_atom_of_task: Vec<u32>,
-    /// Messages per send event (broadcast fan-out), for reuse downstream.
-    #[allow(dead_code)]
-    pub msgs_of_event: Vec<Vec<MsgId>>,
 }
 
 const NONE: u32 = u32::MAX;
 
-/// Builds atoms and base edges from a validated trace.
-///
-/// Sharded over the pool: per-task atom building and each edge-family
-/// scan split into contiguous chunks whose results are stitched back in
-/// chunk order, so atom ids and edge order are identical to a serial
-/// run at any thread count (`docs/parallel.md`).
-pub(crate) fn build_atoms(trace: &Trace, ix: &TraceIndex, cfg: &Config, pool: &Pool) -> AtomGraph {
+/// Builds atoms and base edges from a validated trace. Atom ids grow
+/// with task order; edges come in family order (intra-block, message,
+/// process order, SDAG), each family in input order.
+pub(crate) fn build_atoms(trace: &Trace, ix: &TraceIndex, cfg: &Config) -> AtomGraph {
+    // Messages per send event (broadcast fan-out).
     let mut msgs_of_event: Vec<Vec<MsgId>> = vec![Vec::new(); trace.events.len()];
     for m in &trace.msgs {
         msgs_of_event[m.send_event.index()].push(m.id);
@@ -103,135 +94,77 @@ pub(crate) fn build_atoms(trace: &Trace, ix: &TraceIndex, cfg: &Config, pool: &P
         }
     };
 
-    // Per-task atom building: each chunk numbers its atoms locally and
-    // the stitch below re-bases them on the chunk's offset, which
-    // reproduces the serial numbering (atom ids grow with task order
-    // either way).
-    struct TaskChunk {
-        atoms: Vec<Atom>,
-        /// Intra-block edges in local atom ids.
-        intra: Vec<(u32, u32)>,
-        /// (task, first local atom, last local atom) per non-empty task.
-        spans: Vec<(TaskId, u32, u32)>,
-    }
-    let chunks: Vec<TaskChunk> = pool.map_chunks(&trace.tasks, 256, |tasks| {
-        let mut out = TaskChunk { atoms: Vec::new(), intra: Vec::new(), spans: Vec::new() };
-        for t in tasks {
-            let evs: Vec<EventId> = t.events().collect();
-            if evs.is_empty() {
-                continue;
-            }
-            let chare = t.chare;
-            let lane = trace.task_lane(t.id);
-            let own_runtime = trace.chare(chare).kind.is_runtime();
-            let first_local = out.atoms.len() as u32;
-            let mut prev_atom: Option<u32> = None;
-            let mut current: Option<(bool, Vec<EventId>)> = None;
-            let flush = |out: &mut TaskChunk,
-                         current: &mut Option<(bool, Vec<EventId>)>,
-                         prev_atom: &mut Option<u32>| {
-                if let Some((flavor, events)) = current.take() {
-                    let a = out.atoms.len() as u32;
-                    out.atoms.push(Atom {
-                        task: t.id,
-                        first_time: trace.event(events[0]).time,
-                        events,
-                        is_runtime: flavor,
-                        chare,
-                        lane,
-                    });
-                    if let Some(p) = *prev_atom {
-                        out.intra.push((p, a));
-                    }
-                    *prev_atom = Some(a);
-                }
-            };
-            for ev in evs {
-                let flavor = if cfg.split_app_runtime { event_flavor(ev) } else { own_runtime };
-                match &mut current {
-                    Some((f, events)) if *f == flavor => events.push(ev),
-                    _ => {
-                        flush(&mut out, &mut current, &mut prev_atom);
-                        current = Some((flavor, vec![ev]));
-                    }
-                }
-            }
-            flush(&mut out, &mut current, &mut prev_atom);
-            out.spans.push((t.id, first_local, out.atoms.len() as u32 - 1));
-        }
-        out
-    });
-
+    // Per-task atoms: maximal same-flavor runs of the block's events,
+    // consecutive fragments linked by intra-block edges.
     let mut atoms: Vec<Atom> = Vec::new();
     let mut atom_of_event = vec![NONE; trace.events.len()];
     let mut first_atom_of_task = vec![NONE; trace.tasks.len()];
     let mut last_atom_of_task = vec![NONE; trace.tasks.len()];
     let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
-    for c in chunks {
-        let off = atoms.len() as u32;
-        for (local, atom) in c.atoms.into_iter().enumerate() {
-            for &e in &atom.events {
-                atom_of_event[e.index()] = off + local as u32;
-            }
-            atoms.push(atom);
-        }
-        edges.extend(c.intra.iter().map(|&(u, v)| (off + u, off + v, EdgeKind::IntraBlock)));
-        for (task, f, l) in c.spans {
-            first_atom_of_task[task.index()] = off + f;
-            last_atom_of_task[task.index()] = off + l;
+    for t in &trace.tasks {
+        let chare = t.chare;
+        let lane = trace.task_lane(t.id);
+        let own_runtime = trace.chare(chare).kind.is_runtime();
+        for ev in t.events() {
+            let flavor = if cfg.split_app_runtime { event_flavor(ev) } else { own_runtime };
+            let last = last_atom_of_task[t.id.index()];
+            let a = match atoms.last_mut() {
+                Some(atom) if last != NONE && atom.is_runtime == flavor => {
+                    atom.events.push(ev);
+                    last
+                }
+                _ => {
+                    let a = atoms.len() as u32;
+                    atoms.push(Atom {
+                        task: t.id,
+                        events: vec![ev],
+                        is_runtime: flavor,
+                        chare,
+                        lane,
+                        first_time: trace.event(ev).time,
+                    });
+                    if last == NONE {
+                        first_atom_of_task[t.id.index()] = a;
+                    } else {
+                        edges.push((last, a, EdgeKind::IntraBlock));
+                    }
+                    last_atom_of_task[t.id.index()] = a;
+                    a
+                }
+            };
+            atom_of_event[ev.index()] = a;
         }
     }
 
     // Message edges: matched send/receive endpoints, in message order.
-    edges.extend(
-        pool.map_chunks(&trace.msgs, 2048, |msgs| {
-            msgs.iter()
-                .filter_map(|m| m.recv_task.map(|to| (m, to)))
-                .map(|(m, to)| {
-                    let send_atom = atom_of_event[m.send_event.index()];
-                    let sink = trace.task(to).sink.expect("validated: matched msg has sink");
-                    let recv_atom = atom_of_event[sink.index()];
-                    // Both endpoints of a matched message must lie in
-                    // atoms; re-checked in release builds under
-                    // `Config::verify_invariants`.
-                    debug_assert!(send_atom != NONE && recv_atom != NONE);
-                    if cfg.verify_invariants {
-                        assert!(
-                            send_atom != NONE && recv_atom != NONE,
-                            "message {} endpoints missing from the atom graph \
-                             (send atom {send_atom:#x}, recv atom {recv_atom:#x})",
-                            m.id
-                        );
-                    }
-                    (send_atom, recv_atom, EdgeKind::Message)
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten(),
-    );
+    for m in &trace.msgs {
+        let Some(to) = m.recv_task else { continue };
+        let send_atom = atom_of_event[m.send_event.index()];
+        let sink = trace.task(to).sink.expect("validated: matched msg has sink");
+        let recv_atom = atom_of_event[sink.index()];
+        // Both endpoints of a matched message must lie in atoms;
+        // re-checked in release builds under `Config::verify_invariants`.
+        debug_assert!(send_atom != NONE && recv_atom != NONE);
+        if cfg.verify_invariants {
+            assert!(
+                send_atom != NONE && recv_atom != NONE,
+                "message {} endpoints missing from the atom graph \
+                 (send atom {send_atom:#x}, recv atom {recv_atom:#x})",
+                m.id
+            );
+        }
+        edges.push((send_atom, recv_atom, EdgeKind::Message));
+    }
 
     // Message-passing model: program order within each process is a
     // control dependency (§3.4) — these edges give the partitioning
     // stage the "wealth of additional dependencies" Isaacs'14 relies
     // on, fusing each exchange round into one phase via cycle merges.
     if cfg.model == crate::config::TraceModel::MessagePassing && cfg.mp_process_order {
-        edges.extend(
-            pool.map_chunks(&ix.tasks_by_chare, 16, |lists| {
-                lists
-                    .iter()
-                    .flat_map(|list| {
-                        list.windows(2).filter_map(|w| {
-                            let la = last_atom_of_task[w[0].index()];
-                            let fb = first_atom_of_task[w[1].index()];
-                            (la != NONE && fb != NONE).then_some((la, fb, EdgeKind::ProcessOrder))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten(),
-        );
+        for list in &ix.tasks_by_chare {
+            let links = task_links(list, &first_atom_of_task, &last_atom_of_task);
+            edges.extend(links.map(|(_, _, la, fb)| (la, fb, EdgeKind::ProcessOrder)));
+        }
     }
 
     // SDAG heuristics (§2.1): consecutive serial numbers on a chare
@@ -239,61 +172,57 @@ pub(crate) fn build_atoms(trace: &Trace, ix: &TraceIndex, cfg: &Config, pool: &P
     // before a serial is absorbed into it.
     let mut absorb = Vec::new();
     if cfg.sdag_inference {
-        type SdagChunk = (Vec<(u32, u32, EdgeKind)>, Vec<(u32, u32)>);
-        let parts: Vec<SdagChunk> = pool.map_chunks(&ix.tasks_by_chare, 16, |lists| {
-            let mut edges = Vec::new();
-            let mut absorb = Vec::new();
-            for list in lists {
-                for pair in list.windows(2) {
-                    let (a, b) = (trace.task(pair[0]), trace.task(pair[1]));
-                    let la = last_atom_of_task[a.id.index()];
-                    let fb = first_atom_of_task[b.id.index()];
-                    if la == NONE || fb == NONE {
-                        continue;
+        for list in &ix.tasks_by_chare {
+            for (ta, tb, la, fb) in task_links(list, &first_atom_of_task, &last_atom_of_task) {
+                let (a, b) = (trace.task(ta), trace.task(tb));
+                let sa = trace.entry(a.entry).sdag_serial;
+                let sb = trace.entry(b.entry).sdag_serial;
+                match (sa, sb) {
+                    (Some(n), Some(m)) if m == n + 1 => {
+                        edges.push((la, fb, EdgeKind::Sdag));
                     }
-                    let sa = trace.entry(a.entry).sdag_serial;
-                    let sb = trace.entry(b.entry).sdag_serial;
-                    match (sa, sb) {
-                        (Some(n), Some(m)) if m == n + 1 => {
+                    (None, Some(_)) if a.end == b.begin && a.pe == b.pe => {
+                        // The when-clause entry right before the serial:
+                        // absorb it (same flavor only).
+                        if atoms[la as usize].is_runtime == atoms[fb as usize].is_runtime {
+                            absorb.push((la, fb));
+                        } else {
                             edges.push((la, fb, EdgeKind::Sdag));
                         }
-                        (None, Some(_)) if a.end == b.begin && a.pe == b.pe => {
-                            // The when-clause entry right before the
-                            // serial: absorb it (same flavor only).
-                            if atoms[la as usize].is_runtime == atoms[fb as usize].is_runtime {
-                                absorb.push((la, fb));
-                            } else {
-                                edges.push((la, fb, EdgeKind::Sdag));
-                            }
-                        }
-                        _ => {}
                     }
+                    _ => {}
                 }
             }
-            (edges, absorb)
-        });
-        for (e, ab) in parts {
-            edges.extend(e);
-            absorb.extend(ab);
         }
     }
 
-    AtomGraph {
-        atoms,
-        atom_of_event,
-        edges,
-        absorb,
-        first_atom_of_task,
-        last_atom_of_task,
-        msgs_of_event,
-    }
+    AtomGraph { atoms, atom_of_event, edges, absorb, first_atom_of_task }
+}
+
+/// Consecutive tasks of one chare's list whose ends both materialized
+/// atoms, with the last atom of the first and the first atom of the
+/// second.
+fn task_links<'a>(
+    list: &'a [TaskId],
+    first_atom_of_task: &'a [u32],
+    last_atom_of_task: &'a [u32],
+) -> impl Iterator<Item = (TaskId, TaskId, u32, u32)> + 'a {
+    list.windows(2).filter_map(|w| {
+        let la = last_atom_of_task[w[0].index()];
+        let fb = first_atom_of_task[w[1].index()];
+        (la != NONE && fb != NONE).then_some((w[0], w[1], la, fb))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Pool;
     use lsr_trace::{Kind, PeId, TraceBuilder};
+
+    /// The last atom of `task` (atoms of one task are contiguous).
+    fn last_atom(ag: &AtomGraph, task: usize) -> u32 {
+        ag.atoms.iter().rposition(|a| a.task.index() == task).expect("task has atoms") as u32
+    }
 
     /// App chare c0 sends to app chare c1 and to runtime mgr, in that
     /// order: with splitting this yields app/runtime atoms per Fig. 2.
@@ -320,12 +249,12 @@ mod tests {
     fn split_divides_block_at_runtime_boundary() {
         let tr = mixed_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
         // t0: [send→app] app atom, [send→mgr] runtime atom;
         // t1: one app atom; t2: one runtime atom.
         assert_eq!(ag.atoms.len(), 4);
         let t0_first = ag.first_atom_of_task[0] as usize;
-        let t0_last = ag.last_atom_of_task[0] as usize;
+        let t0_last = last_atom(&ag, 0) as usize;
         assert_ne!(t0_first, t0_last);
         assert!(!ag.atoms[t0_first].is_runtime);
         assert!(ag.atoms[t0_last].is_runtime);
@@ -341,9 +270,9 @@ mod tests {
     fn no_split_keeps_blocks_whole() {
         let tr = mixed_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm().with_split(false), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm().with_split(false));
         assert_eq!(ag.atoms.len(), 3);
-        assert_eq!(ag.first_atom_of_task[0], ag.last_atom_of_task[0]);
+        assert_eq!(ag.first_atom_of_task[0], last_atom(&ag, 0));
         // Flavor falls back to the chare's own kind.
         assert!(!ag.atoms[ag.first_atom_of_task[0] as usize].is_runtime);
     }
@@ -352,7 +281,7 @@ mod tests {
     fn sink_flavor_follows_sender_kind() {
         let tr = mixed_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
         // t1's sink comes from an application chare → app atom.
         let t1_atom = ag.first_atom_of_task[1] as usize;
         assert!(!ag.atoms[t1_atom].is_runtime);
@@ -383,9 +312,9 @@ mod tests {
     fn sdag_serial_numbers_add_edges() {
         let tr = sdag_trace(1);
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
         // serial 1 followed by serial 2 on the same chare → Sdag edge.
-        let la = ag.last_atom_of_task[1];
+        let la = last_atom(&ag, 1);
         let fb = ag.first_atom_of_task[2];
         assert!(ag.edges.iter().any(|&(u, v, k)| k == EdgeKind::Sdag && u == la && v == fb));
     }
@@ -394,8 +323,8 @@ mod tests {
     fn entry_back_to_back_with_serial_is_absorbed() {
         let tr = sdag_trace(0); // t0 ends exactly when t1 begins
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
-        let la = ag.last_atom_of_task[0];
+        let ag = build_atoms(&tr, &ix, &Config::charm());
+        let la = last_atom(&ag, 0);
         let fb = ag.first_atom_of_task[1];
         assert!(ag.absorb.contains(&(la, fb)));
     }
@@ -404,7 +333,7 @@ mod tests {
     fn sdag_disabled_adds_nothing() {
         let tr = sdag_trace(0);
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm().with_sdag(false), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm().with_sdag(false));
         assert!(ag.absorb.is_empty());
         assert!(ag.edges.iter().all(|e| e.2 != EdgeKind::Sdag));
     }
@@ -426,11 +355,15 @@ mod tests {
         b.end_task(t2, Time(6));
         let tr = b.build().unwrap();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
-        let send_ev = tr.tasks[0].sends[0];
-        assert_eq!(ag.msgs_of_event[send_ev.index()].len(), 2);
-        assert_eq!(ag.edges.iter().filter(|e| e.2 == EdgeKind::Message).count(), 2);
-        let _ = (t0, t1, t2);
+        let ag = build_atoms(&tr, &ix, &Config::charm());
+        // One send event, one atom, two message edges: to each receiver.
+        let send_atom = ag.atom_of_event[tr.tasks[0].sends[0].index()];
+        let msg_edges: Vec<(u32, u32)> =
+            ag.edges.iter().filter(|e| e.2 == EdgeKind::Message).map(|&(u, v, _)| (u, v)).collect();
+        let sink_atom = |t: TaskId| ag.first_atom_of_task[t.index()];
+        assert_eq!(msg_edges, vec![(send_atom, sink_atom(t1)), (send_atom, sink_atom(t2))]);
+        assert_ne!(sink_atom(t1), sink_atom(t2));
+        let _ = t0;
     }
 
     #[test]
@@ -443,7 +376,7 @@ mod tests {
         b.end_task(t, Time(1));
         let tr = b.build().unwrap();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
         assert!(ag.atoms.is_empty());
         assert_eq!(ag.first_atom_of_task[0], NONE);
     }

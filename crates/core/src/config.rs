@@ -74,18 +74,12 @@ pub struct Config {
     /// partitions, and enforce the chare-path DAG properties. Disabling
     /// this reproduces Fig. 17.
     pub infer_dependencies: bool,
-    /// §3.3: order phases in parallel across worker threads.
-    pub parallel_ordering: bool,
-    /// Worker threads for *every* parallel stage (atoms, the sharded
-    /// merge passes, and the §3.3 ordering fan-out). `0` — the default
-    /// — resolves to the machine's available parallelism when
-    /// [`Config::parallel_ordering`] is set and to `1` (fully serial)
-    /// otherwise, so the presets keep their historical serial behavior.
-    /// Any other value forces exactly that count for all stages, with
-    /// `1` meaning serial and `n > 1` enabling the parallel paths even
-    /// without `parallel_ordering`. Extraction output — structure and
-    /// provenance — is bit-identical at every thread count
-    /// (`docs/parallel.md` has the determinism argument).
+    /// §3.3: worker threads for ordering phases, the one parallel
+    /// stage. `1` — the default — is serial, `0` is auto (the host's
+    /// available parallelism), and `n > 1` is exactly `n` workers.
+    /// Phase finding always runs serially. Extraction output —
+    /// structure and provenance — is bit-identical at every thread
+    /// count (`docs/parallel.md`).
     pub threads: usize,
     /// §3.2.1: how `w` ties between serial blocks are broken.
     pub tiebreak: TieBreak,
@@ -119,8 +113,7 @@ impl Config {
             split_app_runtime: true,
             sdag_inference: true,
             infer_dependencies: true,
-            parallel_ordering: false,
-            threads: 0,
+            threads: 1,
             tiebreak: TieBreak::ChareId,
             mp_process_order: true,
             verify_invariants: false,
@@ -164,32 +157,20 @@ impl Config {
         self
     }
 
-    /// Enables/disables parallel per-phase ordering.
-    pub fn with_parallel(mut self, on: bool) -> Config {
-        self.parallel_ordering = on;
-        self
-    }
-
-    /// Sets the worker-thread count for every parallel stage: `0` =
-    /// auto (available parallelism when parallel ordering is on,
-    /// serial otherwise), `1` = serial, `n > 1` = exactly `n` workers,
-    /// which also enables the parallel stages on its own.
+    /// Sets the worker-thread count for the §3.3 per-phase ordering:
+    /// `1` = serial, `0` = auto (available parallelism), `n > 1` =
+    /// exactly `n` workers.
     pub fn with_threads(mut self, n: usize) -> Config {
         self.threads = n;
         self
     }
 
-    /// The worker count [`Config::threads`] resolves to on this host:
-    /// what the parallel stages actually use. The historical
-    /// `available_parallelism().unwrap_or(4)` fallback is gone — when
-    /// the host cannot report its parallelism the pipeline runs
-    /// serially rather than guessing.
+    /// The worker count [`Config::threads`] resolves to on this host.
+    /// When the host cannot report its parallelism, auto runs serially
+    /// rather than guessing.
     pub fn resolved_threads(&self) -> usize {
         match self.threads {
-            0 if self.parallel_ordering => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-            0 => 1,
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,
         }
     }
@@ -259,12 +240,12 @@ mod tests {
     #[test]
     fn thread_policy_resolves_as_documented() {
         let c = Config::charm();
-        assert_eq!(c.threads, 0);
-        assert_eq!(c.resolved_threads(), 1, "threads=0 without parallel ordering is serial");
-        assert_eq!(c.clone().with_threads(1).resolved_threads(), 1);
+        assert_eq!(c.threads, 1);
+        assert_eq!(c.resolved_threads(), 1, "the default is serial");
         assert_eq!(c.clone().with_threads(6).resolved_threads(), 6, "explicit count is exact");
-        let auto = c.with_parallel(true).resolved_threads();
-        assert!(auto >= 1, "auto resolves to at least one worker");
+        let auto = c.with_threads(0).resolved_threads();
+        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(auto, host, "0 resolves to the host's parallelism");
     }
 
     #[test]
@@ -273,10 +254,10 @@ mod tests {
             .with_inference(false)
             .with_split(false)
             .with_sdag(false)
-            .with_parallel(true)
+            .with_threads(4)
             .with_ordering(OrderingPolicy::PhysicalTime);
         assert!(!c.infer_dependencies && !c.split_app_runtime && !c.sdag_inference);
-        assert!(c.parallel_ordering);
+        assert_eq!(c.threads, 4);
         assert_eq!(c.ordering, OrderingPolicy::PhysicalTime);
     }
 }

@@ -17,7 +17,9 @@
 //!    DAG properties (Alg. 5).
 //! 5. **Step assignment** (§3.2) with the idealized-forward-replay
 //!    reordering (§3.2.1), in its task-based and message-passing
-//!    variants, optionally parallelized across phases (§3.3).
+//!    variants. Phases are independent, so with [`Config::threads`]
+//!    above one they are ordered in parallel (§3.3) — the pipeline's
+//!    one parallel region; phase finding (steps 1–4) is serial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -286,97 +288,67 @@ fn extract_inner(
     let rec = &cfg.recorder;
     let span_extract = rec.span("extract");
 
-    // One resolved thread policy drives every parallel stage; workers
-    // never touch the recorder, so occupancy is tallied in the pool
-    // and flushed here per stage (deterministic for a given input and
-    // thread count — the counter-determinism property must keep
-    // holding at any `--threads`).
-    let pool = pool::Pool::new(cfg.resolved_threads());
+    // Phase finding runs serially; the thread policy only drives the
+    // §3.3 ordering fan-out in `assemble`.
+    let threads = cfg.resolved_threads();
     if rec.is_enabled() {
-        rec.add("core.threads", pool.threads() as u64);
-    }
-    macro_rules! par_occupancy {
-        ($stage:expr, $name:literal, $before:expr) => {
-            if rec.is_enabled() {
-                let d = $stage.pool.dispatched() - $before;
-                if d > 0 {
-                    rec.add(concat!("core.parallel.", $name), d);
-                }
-            }
-        };
+        rec.add("core.threads", threads as u64);
     }
 
     let sp = rec.span("atoms");
     let ix = trace.index();
-    let ag = atoms::build_atoms(trace, &ix, cfg, &pool);
-    if rec.is_enabled() && pool.dispatched() > 0 {
-        rec.add("core.parallel.atoms", pool.dispatched());
-    }
+    let ag = atoms::build_atoms(trace, &ix, cfg);
     let mut stage = if prov_out.is_some() {
-        stage::Stage::with_provenance(trace, ag, pool)
+        stage::Stage::with_provenance(trace, ag)
     } else {
-        stage::Stage::new(trace, ag, pool)
+        stage::Stage::new(trace, ag)
     };
     drop(sp);
     observe!(stage, "atoms");
     stamp(&mut mark, &mut elapsed, &mut t.atoms);
 
-    let before = stage.pool.dispatched();
     let sp = rec.span("dependency_merge");
     merges::dependency_merge(&mut stage);
     drop(sp);
-    par_occupancy!(stage, "dependency_merge", before);
     observe!(stage, "dependency_merge");
-    let before = stage.pool.dispatched();
     let sp = rec.span("collective_merge");
     merges::collective_merge(&mut stage, &ix);
     drop(sp);
-    par_occupancy!(stage, "collective_merge", before);
     observe!(stage, "collective_merge");
     stamp(&mut mark, &mut elapsed, &mut t.dependency_merge);
 
     if cfg.split_app_runtime {
-        let before = stage.pool.dispatched();
         let sp = rec.span("repair");
         merges::repair_merge(&mut stage);
         drop(sp);
-        par_occupancy!(stage, "repair", before);
         observe!(stage, "repair");
     }
     if cfg.sdag_inference {
-        let before = stage.pool.dispatched();
         let sp = rec.span("neighbor_serial");
         merges::neighbor_serial_merge(&mut stage);
         drop(sp);
-        par_occupancy!(stage, "neighbor_serial", before);
         observe!(stage, "neighbor_serial");
     }
     stamp(&mut mark, &mut elapsed, &mut t.repair);
 
     if cfg.infer_dependencies {
-        let before = stage.pool.dispatched();
         let sp = rec.span("infer");
         merges::infer_dependencies(&mut stage);
         drop(sp);
-        par_occupancy!(stage, "infer", before);
         observe!(stage, "infer");
     }
     stamp(&mut mark, &mut elapsed, &mut t.infer);
 
-    let before = stage.pool.dispatched();
     let sp = rec.span("leap_resolution");
     merges::resolve_leap_overlaps(&mut stage, cfg.infer_dependencies)?;
     drop(sp);
-    par_occupancy!(stage, "leap_resolution", before);
     observe!(stage, "leap_resolution");
     stamp(&mut mark, &mut elapsed, &mut t.leap_resolution);
 
-    let before = stage.pool.dispatched();
     let sp = rec.span("enforce");
     merges::enforce_chare_paths(&mut stage)?;
     merges::chain_chare_phases(&mut stage, cfg.verify_invariants)?;
     drop(sp);
-    par_occupancy!(stage, "enforce", before);
     observe!(stage, "enforce");
     stamp(&mut mark, &mut elapsed, &mut t.enforce);
 
@@ -384,7 +356,7 @@ fn extract_inner(
         *out = stage.prov.take();
     }
     let sp = rec.span("ordering");
-    let ls = assemble(trace, &ix, stage, cfg)?;
+    let ls = assemble(trace, &ix, stage, cfg, threads)?;
     drop(sp);
     stamp(&mut mark, &mut elapsed, &mut t.ordering);
     flush_diag_counters(rec, &ls.diagnostics);
@@ -440,6 +412,7 @@ fn assemble(
     ix: &lsr_trace::TraceIndex,
     mut stage: stage::Stage<'_>,
     cfg: &Config,
+    threads: usize,
 ) -> Result<LogicalStructure, ExtractError> {
     let v = stage.view();
     let nphases = v.len();
@@ -464,20 +437,19 @@ fn assemble(
         .collect();
     let ag_ref = &stage.ag;
     let poe_ref = &phase_of_event;
-    // The §3.3 fan-out: dynamic scheduling over phases through the
-    // shared pool. Results come back in phase-id order (inputs are in
-    // id order) and a failure reports the *lowest* failing phase id,
-    // so the returned error is the one a serial run would hit first —
-    // error selection is deterministic at any thread count.
-    let before = stage.pool.dispatched();
-    let (workers, outcome) = stage.pool.try_map_indexed(&inputs, |_, input| {
+    // The §3.3 fan-out, the pipeline's one parallel region: dynamic
+    // scheduling over phases. Results come back in phase-id order
+    // (inputs are in id order) and a failure reports the *lowest*
+    // failing phase id, so the returned error is the one a serial run
+    // would hit first — error selection is deterministic at any thread
+    // count.
+    let (workers, outcome) = pool::try_map_indexed(threads, &inputs, |_, input| {
         step::assign_phase_steps(trace, ag_ref, poe_ref, input, cfg)
     });
     if cfg.recorder.is_enabled() {
         cfg.recorder.add("core.ordering.workers", workers as u64);
-        let d = stage.pool.dispatched() - before;
-        if d > 0 {
-            cfg.recorder.add("core.parallel.ordering", d);
+        if workers > 1 {
+            cfg.recorder.add("core.parallel.ordering", workers as u64);
         }
     }
     let results: Vec<step::PhaseResult> = outcome?;
@@ -655,7 +627,7 @@ mod tests {
             Config::charm().with_inference(false),
             Config::charm().with_split(false),
             Config::charm().with_sdag(false),
-            Config::charm().with_parallel(true),
+            Config::charm().with_threads(4),
         ] {
             let ls = extract(&tr, &cfg);
             ls.verify(&tr).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
@@ -666,9 +638,37 @@ mod tests {
     fn parallel_ordering_matches_serial() {
         let tr = ring_app(8, 4, 3, 11);
         let serial = extract(&tr, &Config::charm());
-        let parallel = extract(&tr, &Config::charm().with_parallel(true));
+        let parallel = extract(&tr, &Config::charm().with_threads(4));
         assert_eq!(serial.step, parallel.step);
         assert_eq!(serial.phase_of_event, parallel.phase_of_event);
+    }
+
+    /// Only the per-phase ordering fans out: with two workers on a
+    /// multi-phase trace `core.parallel.ordering` records them and no
+    /// other `core.parallel.*` counter exists; serially it is absent.
+    #[test]
+    fn only_the_ordering_records_a_fan_out() {
+        let tr = ring_app(8, 4, 3, 11);
+        let counters = |threads: usize| {
+            let rec = lsr_obs::Recorder::enabled();
+            extract(&tr, &Config::charm().with_threads(threads).with_recorder(rec.clone()));
+            rec.counters()
+        };
+        let get =
+            |cs: &[(String, u64)], name: &str| cs.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        let par = counters(2);
+        assert_eq!(get(&par, "core.threads"), Some(2));
+        assert_eq!(get(&par, "core.ordering.workers"), Some(2));
+        assert_eq!(get(&par, "core.parallel.ordering"), Some(2));
+        let fanned: Vec<&str> = par
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .filter(|n| n.starts_with("core.parallel."))
+            .collect();
+        assert_eq!(fanned, ["core.parallel.ordering"]);
+        let serial = counters(1);
+        assert_eq!(get(&serial, "core.ordering.workers"), Some(1));
+        assert_eq!(get(&serial, "core.parallel.ordering"), None);
     }
 
     #[test]
@@ -848,7 +848,7 @@ mod tests {
     #[test]
     fn step_cycle_error_propagates_through_parallel_ordering() {
         let tr = mutual_trigger_trace();
-        let cfg = Config::charm().with_parallel(true);
+        let cfg = Config::charm().with_threads(4);
         match try_extract(&tr, &cfg) {
             Err(ExtractError::StepCycle { .. }) => {}
             other => panic!("expected StepCycle, got {other:?}"),

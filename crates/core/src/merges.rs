@@ -1,92 +1,24 @@
 //! The phase-finding merge passes (paper §3.1.2–§3.1.4, Algorithms 1–5).
 //!
-//! The heavy passes follow one *generate-then-replay* shape
-//! (`docs/parallel.md`): workers shard the scan that discovers
-//! candidate unions or edges — in an order derived only from input
-//! indices — and a serial replay applies them against the real stage
-//! state in canonical order. Provenance and diagnostics are written
-//! exclusively by the replay, so output is bit-identical at every
-//! thread count.
+//! Every pass runs serially against the stage's union-find, visiting
+//! candidates in an order derived only from input indices; any map
+//! whose iteration order reaches provenance is a `BTreeMap`. Only the
+//! §3.3 per-phase ordering runs in parallel (`docs/parallel.md`).
 
 use crate::atoms::EdgeKind;
-use crate::graph::UnionFind;
-use crate::pool::Pool;
 use crate::provenance::ProvenanceRule;
 use crate::stage::Stage;
 use crate::ExtractError;
 use lsr_trace::{ChareId, EventId, Time};
 use std::collections::{BTreeMap, HashMap};
 
-/// Atoms per shard below which the union-style scans stay serial.
-const EDGE_CHUNK: usize = 2048;
-
-/// The *firing set* of a union sequence: the edges that unite two
-/// previously-disconnected sets when `edges` is replayed in order
-/// through a fresh union-find over `n` elements.
-///
-/// Computed sharded: each chunk keeps its local firing set (a spanning
-/// forest tagged with global indices), and forest pairs combine
-/// through the pairwise work-pool merge tree by merging their
-/// index-sorted lists and re-replaying. The result equals the serial
-/// firing set for any chunking and merge order: a union-find's
-/// partition after any prefix is the connected components of *all*
-/// prefix edges, a firing set preserves those components for every
-/// prefix, and component structure of a union of edge sets depends
-/// only on the components of each part — so each tree merge preserves
-/// per-prefix components and the final replay reconstructs exactly the
-/// serial firing decisions.
-fn firing_set(pool: &Pool, n: usize, edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let replay = |list: &[(u32, u32, u32)]| -> Vec<(u32, u32, u32)> {
-        let mut uf = UnionFind::new(n);
-        list.iter().copied().filter(|&(_, u, v)| uf.union(u, v)).collect()
-    };
-    if !pool.is_parallel() || edges.len() < 2 * EDGE_CHUNK {
-        let tagged: Vec<(u32, u32, u32)> =
-            edges.iter().enumerate().map(|(i, &(u, v))| (i as u32, u, v)).collect();
-        return replay(&tagged).into_iter().map(|(_, u, v)| (u, v)).collect();
-    }
-    let tagged: Vec<(u32, u32, u32)> =
-        edges.iter().enumerate().map(|(i, &(u, v))| (i as u32, u, v)).collect();
-    let forests: Vec<Vec<(u32, u32, u32)>> = pool.map_chunks(&tagged, EDGE_CHUNK, replay);
-    let merged = pool.merge_tree(forests, |a, b| {
-        // Merge the two index-sorted forests, then refilter.
-        let mut m = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].0 < b[j].0 {
-                m.push(a[i]);
-                i += 1;
-            } else {
-                m.push(b[j]);
-                j += 1;
-            }
-        }
-        m.extend_from_slice(&a[i..]);
-        m.extend_from_slice(&b[j..]);
-        replay(&m)
-    });
-    merged.unwrap_or_default().into_iter().map(|(_, u, v)| (u, v)).collect()
-}
-
 /// Algorithm 1: merge partitions containing matched send/receive
 /// endpoints, then merge any cycles this created.
 pub(crate) fn dependency_merge(stage: &mut Stage<'_>) {
-    // Generate: the message-edge firing forest, sharded. Edges the
-    // forest dropped are redundant against the stage's union-find too
-    // (its partition is coarser — it starts from the SDAG absorb
-    // pre-unions), so skipping them changes neither unions nor notes.
-    let message_edges: Vec<(u32, u32)> = stage
-        .ag
-        .edges
-        .iter()
-        .filter(|&&(_, _, kind)| kind == EdgeKind::Message)
-        .map(|&(u, v, _)| (u, v))
-        .collect();
-    let fired = firing_set(&stage.pool, stage.ag.atoms.len(), &message_edges);
-    // Replay: apply the surviving unions in serial edge order.
     let mut merges = 0;
-    for (u, v) in fired {
-        if stage.uf.union(u, v) {
+    for i in 0..stage.ag.edges.len() {
+        let (u, v, kind) = stage.ag.edges[i];
+        if kind == EdgeKind::Message && stage.uf.union(u, v) {
             merges += 1;
             stage.note(ProvenanceRule::DependencyMerge, u, v);
         }
@@ -125,34 +57,26 @@ pub(crate) fn repair_merge(stage: &mut Stage<'_>) {
         }
     }
     // (2) Sibling merge across broken-block edges, grouped by
-    // (predecessor partition, fragment entry type, flavor). The
-    // qualifying-edge scan (per-edge partition lookups) is sharded in
-    // edge order; the first-occurrence anchoring below is replayed
-    // serially — group anchors are order-sensitive.
+    // (predecessor partition, fragment entry type, flavor). Candidates
+    // are collected in edge order; group anchors are order-sensitive.
     let v = stage.view();
     let trace = stage.trace;
     let ag = &stage.ag;
-    let cands: Vec<((u32, lsr_trace::EntryId, bool), u32, u32)> = stage
-        .pool
-        .map_chunks(&ag.edges, EDGE_CHUNK, |edges| {
-            edges
-                .iter()
-                .filter_map(|&(a, b, kind)| {
-                    if kind != EdgeKind::IntraBlock {
-                        return None;
-                    }
-                    let (pa, pb) = (v.part_of_atom[a as usize], v.part_of_atom[b as usize]);
-                    if pa == pb {
-                        return None;
-                    }
-                    let entry = trace.task(ag.atoms[b as usize].task).entry;
-                    let flavor = v.is_runtime[pb as usize];
-                    Some(((pa, entry, flavor), pb, b))
-                })
-                .collect::<Vec<_>>()
+    let cands: Vec<((u32, lsr_trace::EntryId, bool), u32, u32)> = ag
+        .edges
+        .iter()
+        .filter_map(|&(a, b, kind)| {
+            if kind != EdgeKind::IntraBlock {
+                return None;
+            }
+            let (pa, pb) = (v.part_of_atom[a as usize], v.part_of_atom[b as usize]);
+            if pa == pb {
+                return None;
+            }
+            let entry = trace.task(ag.atoms[b as usize].task).entry;
+            let flavor = v.is_runtime[pb as usize];
+            Some(((pa, entry, flavor), pb, b))
         })
-        .into_iter()
-        .flatten()
         .collect();
     let mut groups: HashMap<(u32, lsr_trace::EntryId, bool), u32> = HashMap::new();
     for (key, pb, b) in cands {
@@ -186,28 +110,20 @@ pub(crate) fn neighbor_serial_merge(stage: &mut Stage<'_>) {
     let v = stage.view();
     let trace = stage.trace;
     let ag = &stage.ag;
-    // Generate SDAG-edge targets sharded (edge order is preserved by
-    // chunk concatenation, though grouping makes it immaterial here).
-    let cands: Vec<((u32, u32), u32)> = stage
-        .pool
-        .map_chunks(&ag.edges, EDGE_CHUNK, |edges| {
-            edges
-                .iter()
-                .filter_map(|&(a, b, kind)| {
-                    if kind != EdgeKind::Sdag {
-                        return None;
-                    }
-                    let (pa, pb) = (v.part_of_atom[a as usize], v.part_of_atom[b as usize]);
-                    if pa == pb {
-                        return None;
-                    }
-                    let entry = trace.task(ag.atoms[b as usize].task).entry;
-                    Some(((pa, entry.0), pb))
-                })
-                .collect::<Vec<_>>()
+    let cands: Vec<((u32, u32), u32)> = ag
+        .edges
+        .iter()
+        .filter_map(|&(a, b, kind)| {
+            if kind != EdgeKind::Sdag {
+                return None;
+            }
+            let (pa, pb) = (v.part_of_atom[a as usize], v.part_of_atom[b as usize]);
+            if pa == pb {
+                return None;
+            }
+            let entry = trace.task(ag.atoms[b as usize].task).entry;
+            Some(((pa, entry.0), pb))
         })
-        .into_iter()
-        .flatten()
         .collect();
     // Group targets by (source partition, target entry) — a BTreeMap,
     // so the merge loop walks keys in (partition, entry) order by
@@ -258,36 +174,23 @@ pub(crate) fn collective_merge(stage: &mut Stage<'_>, ix: &lsr_trace::TraceIndex
         let (fa, fb) = (ag.first_atom_of_task[a.index()], ag.first_atom_of_task[b.index()]);
         (fa != u32::MAX && fb != u32::MAX).then_some((fa, fb))
     };
-    // Generate both link families sharded, preserving serial order:
-    // messages between collective tasks first, then rank adjacency
-    // (consecutive collective tasks on one rank belong to the same
-    // instance — distinct collectives are separated by application ops).
-    let mut candidates: Vec<(u32, u32)> = stage
-        .pool
-        .map_chunks(&trace.msgs, EDGE_CHUNK, |msgs| {
-            msgs.iter()
-                .filter_map(|m| m.recv_task.map(|to| (trace.event(m.send_event).task, to)))
-                .filter_map(|(from, to)| pair_of(from, to))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
+    // Both link families, in order: messages between collective tasks
+    // first, then rank adjacency (consecutive collective tasks on one
+    // rank belong to the same instance — distinct collectives are
+    // separated by application ops).
+    let candidates: Vec<(u32, u32)> = trace
+        .msgs
+        .iter()
+        .filter_map(|m| m.recv_task.map(|to| (trace.event(m.send_event).task, to)))
+        .filter_map(|(from, to)| pair_of(from, to))
+        .chain(
+            ix.tasks_by_chare
+                .iter()
+                .flat_map(|list| list.windows(2).filter_map(|w| pair_of(w[0], w[1]))),
+        )
         .collect();
-    candidates.extend(
-        stage
-            .pool
-            .map_chunks(&ix.tasks_by_chare, 16, |lists| {
-                lists
-                    .iter()
-                    .flat_map(|list| list.windows(2).filter_map(|w| pair_of(w[0], w[1])))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten(),
-    );
-    let fired = firing_set(&stage.pool, ag.atoms.len(), &candidates);
     let mut merges = 0;
-    for (fa, fb) in fired {
+    for (fa, fb) in candidates {
         if stage.uf.union(fa, fb) {
             merges += 1;
             stage.note(ProvenanceRule::CollectiveMerge, fa, fb);
@@ -673,8 +576,8 @@ mod tests {
 
     fn stage_for<'t>(trace: &'t Trace, cfg: &Config) -> Stage<'t> {
         let ix = trace.index();
-        let ag = build_atoms(trace, &ix, cfg, &Pool::serial());
-        Stage::new(trace, ag, Pool::serial())
+        let ag = build_atoms(trace, &ix, cfg);
+        Stage::new(trace, ag)
     }
 
     /// The paper's Fig. 3 ring: every chare invokes `recvResult` on its
@@ -776,7 +679,7 @@ mod tests {
         // The two app fragments of t0 are in one partition now.
         let v = stage.view();
         let f = stage.ag.first_atom_of_task[0] as usize;
-        let l = stage.ag.last_atom_of_task[0] as usize;
+        let l = stage.ag.atoms.iter().rposition(|a| a.task.index() == 0).unwrap();
         assert_eq!(v.part_of_atom[f], v.part_of_atom[l]);
     }
 
@@ -1087,27 +990,6 @@ mod tests {
                 other => panic!("expected PhaseCycle, got {other:?}"),
             }
         }
-    }
-
-    /// The same injection against a multi-threaded pool: the parallel
-    /// merge machinery must propagate the typed error identically.
-    #[test]
-    fn phase_cycle_propagates_through_the_parallel_pool() {
-        let tr = two_partition_trace();
-        let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::new(4));
-        let mut stage = Stage::new(&tr, ag, Pool::new(4));
-        dependency_merge(&mut stage);
-        let v = stage.view();
-        assert_eq!(v.len(), 2);
-        let (a0, a1) = (v.atoms_in[0][0], v.atoms_in[1][0]);
-        stage.extra_edges.push((a0, a1));
-        stage.extra_edges.push((a1, a0));
-        let err = resolve_leap_overlaps(&mut stage, true).unwrap_err();
-        assert!(
-            matches!(err, ExtractError::PhaseCycle { ref cycle } if cycle.len() == 2),
-            "parallel pool surfaces the same typed witness: {err:?}"
-        );
     }
 
     /// Alg 5: a phase whose chare is missing from its direct successors

@@ -1,31 +1,14 @@
-//! Shared worker-pool machinery for the parallel extraction stages.
+//! The one parallel region of extraction: the §3.3 per-phase ordering
+//! fan-out (`docs/parallel.md`).
 //!
-//! Every parallel region opens its own `crossbeam::thread::scope`, so
-//! worker closures can borrow stage-local state directly — no `Arc`s,
-//! no `'static` bounds. The pool itself is just the resolved thread
-//! policy ([`crate::Config::resolved_threads`]) plus an occupancy
-//! tally. Three shapes cover every stage:
-//!
-//! - [`Pool::map_chunks`]: split a slice into at most `threads`
-//!   contiguous chunks and map them concurrently, returning results in
-//!   chunk order — the *generate* half of the generate-then-replay
-//!   pattern the merge stages use (`docs/parallel.md`).
-//! - [`Pool::try_map_indexed`]: dynamic fan-out over independent items
-//!   (the §3.3 per-phase ordering), failing with the error of the
-//!   *lowest-indexed* failing item so error selection is deterministic
-//!   under any scheduling.
-//! - [`Pool::merge_tree`]: the pairwise work-pool merge tree — pop two
-//!   ready units, merge, push the result back until one remains —
-//!   after the `link_mstages` pool in SNIPPETS.md Snippet 1. Callers
-//!   must pass an order-independent `merge` (associative and
-//!   commutative up to the final result); the sharded candidate
-//!   forests satisfy this (`docs/parallel.md` has the argument).
-//!
-//! Workers never touch the recorder (its span stack is thread-local to
-//! the pipeline); occupancy is tallied here and flushed by the caller.
+//! [`try_map_indexed`] opens a `crossbeam::thread::scope`, so worker
+//! closures borrow the phase inputs directly — no `Arc`s, no
+//! `'static` bounds. Workers never touch the recorder (its span stack
+//! is thread-local to the pipeline); the caller records the worker
+//! count it returns.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks ignoring poisoning: a panicking worker resumes its panic on
 /// scope join, so observed state after a poison is never used.
@@ -33,187 +16,62 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The resolved thread policy for one extraction run. `threads == 1`
-/// makes every method a serial fallback with identical results.
-pub(crate) struct Pool {
+/// Fans `f` out over every item on up to `threads` workers with
+/// dynamic scheduling. On success the results come back in item order;
+/// on failure the error of the lowest-indexed failing item is returned
+/// — exactly what a serial left-to-right run would report. Returns the
+/// worker count it used alongside: `1` when it ran serially
+/// (`threads <= 1` or at most one item).
+pub(crate) fn try_map_indexed<T, R, E, F>(
     threads: usize,
-    /// Parallel work units dispatched so far (chunks, fan-out workers,
-    /// tree merges) — deterministic for a given input and thread count.
-    dispatched: AtomicU64,
-}
-
-impl Pool {
-    pub fn new(threads: usize) -> Pool {
-        Pool { threads: threads.max(1), dispatched: AtomicU64::new(0) }
+    items: &[T],
+    f: F,
+) -> (usize, Result<Vec<R>, E>)
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return (1, items.iter().enumerate().map(|(i, t)| f(i, t)).collect());
     }
-
-    /// A one-thread pool for contexts outside the pipeline (tests,
-    /// helpers); every method takes its serial path.
-    #[cfg(test)]
-    pub fn serial() -> Pool {
-        Pool::new(1)
-    }
-
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Maps at most `threads` contiguous chunks of `items` (each at
-    /// least `min_chunk` long) concurrently; results come back in
-    /// chunk order. Serial (one chunk) when the pool is serial or the
-    /// input is too small to amortize a spawn.
-    pub fn map_chunks<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        let n = items.len();
-        let min = min_chunk.max(1);
-        let chunks = self.threads.min(n.div_ceil(min)).max(1);
-        if !self.is_parallel() || chunks == 1 {
-            return vec![f(items)];
+    let workers = threads.min(items.len());
+    let next = AtomicUsize::new(0);
+    let ok: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    let err: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(t) = items.get(i) else { break };
+        // An error at index j < i makes every item ≥ i irrelevant (a
+        // serial run stops at j); items *below* j must still be tried —
+        // they may fail with a smaller index.
+        if lock(&err).as_ref().is_some_and(|(j, _)| *j < i) {
+            break;
         }
-        self.dispatched.fetch_add(chunks as u64, Ordering::Relaxed);
-        let slices: Vec<&[T]> = items.chunks(n.div_ceil(chunks)).collect();
-        let next = AtomicUsize::new(0);
-        let out: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(slices.len()));
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(s) = slices.get(i) else { break };
-            let r = f(s);
-            lock(&out).push((i, r));
-        };
-        crossbeam::thread::scope(|sc| {
-            for _ in 1..self.threads.min(slices.len()) {
-                sc.spawn(|_| work());
-            }
-            work();
-        })
-        .expect("pool worker panicked");
-        let mut v = out.into_inner().unwrap_or_else(|e| e.into_inner());
-        v.sort_unstable_by_key(|&(i, _)| i);
-        v.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Fans `f` out over every item with dynamic scheduling. On
-    /// success the results come back in item order; on failure the
-    /// error of the lowest-indexed failing item is returned — exactly
-    /// what a serial left-to-right run would report. Returns the
-    /// worker count it used (for occupancy counters) alongside.
-    pub fn try_map_indexed<T, R, E, F>(&self, items: &[T], f: F) -> (usize, Result<Vec<R>, E>)
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        if !self.is_parallel() || items.len() <= 1 {
-            return (1, items.iter().enumerate().map(|(i, t)| f(i, t)).collect());
-        }
-        let workers = self.threads.min(items.len());
-        self.dispatched.fetch_add(workers as u64, Ordering::Relaxed);
-        let next = AtomicUsize::new(0);
-        let ok: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-        let err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(t) = items.get(i) else { break };
-            // An error at index j < i makes every item ≥ i irrelevant
-            // (a serial run stops at j); items *below* j must still be
-            // tried — they may fail with a smaller index.
-            if lock(&err).as_ref().is_some_and(|(j, _)| *j < i) {
-                break;
-            }
-            match f(i, t) {
-                Ok(r) => lock(&ok).push((i, r)),
-                Err(e) => {
-                    let mut g = lock(&err);
-                    if g.as_ref().is_none_or(|(j, _)| i < *j) {
-                        *g = Some((i, e));
-                    }
+        match f(i, t) {
+            Ok(r) => lock(&ok).push((i, r)),
+            Err(e) => {
+                let mut g = lock(&err);
+                if g.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *g = Some((i, e));
                 }
             }
-        };
-        crossbeam::thread::scope(|sc| {
-            for _ in 1..workers {
-                sc.spawn(|_| work());
-            }
-            work();
-        })
-        .expect("pool worker panicked");
-        if let Some((_, e)) = err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return (workers, Err(e));
         }
-        let mut v = ok.into_inner().unwrap_or_else(|e| e.into_inner());
-        v.sort_unstable_by_key(|&(i, _)| i);
-        (workers, Ok(v.into_iter().map(|(_, r)| r).collect()))
+    };
+    crossbeam::thread::scope(|sc| {
+        for _ in 1..workers {
+            sc.spawn(|_| work());
+        }
+        work();
+    })
+    .expect("ordering worker panicked");
+    if let Some((_, e)) = err.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return (workers, Err(e));
     }
-
-    /// Reduces `units` to one through a pairwise work pool: any idle
-    /// worker pops two ready units, merges them, and pushes the result
-    /// back; the pool drains when one unit remains and nothing is in
-    /// flight (the `link_mstages` shape). `merge` must be
-    /// order-independent — the caller's determinism argument, not the
-    /// pool's. Returns `None` on empty input.
-    pub fn merge_tree<U, F>(&self, units: Vec<U>, merge: F) -> Option<U>
-    where
-        U: Send,
-        F: Fn(U, U) -> U + Sync,
-    {
-        let mut units = units;
-        if !self.is_parallel() || units.len() < 4 {
-            let mut it = units.drain(..);
-            let first = it.next()?;
-            return Some(it.fold(first, &merge));
-        }
-        self.dispatched.fetch_add((units.len() - 1) as u64, Ordering::Relaxed);
-        struct State<U> {
-            pool: Vec<U>,
-            in_flight: usize,
-        }
-        let state = Mutex::new(State { pool: units, in_flight: 0 });
-        let cv = Condvar::new();
-        let work = || loop {
-            let mut g = lock(&state);
-            let (a, b) = loop {
-                if g.pool.len() >= 2 {
-                    let b = g.pool.pop().expect("len >= 2");
-                    let a = g.pool.pop().expect("len >= 2");
-                    break (a, b);
-                }
-                if g.in_flight == 0 {
-                    return;
-                }
-                g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            };
-            g.in_flight += 1;
-            drop(g);
-            let m = merge(a, b);
-            let mut g = lock(&state);
-            g.pool.push(m);
-            g.in_flight -= 1;
-            drop(g);
-            cv.notify_all();
-        };
-        crossbeam::thread::scope(|sc| {
-            for _ in 1..self.threads {
-                sc.spawn(|_| work());
-            }
-            work();
-        })
-        .expect("pool worker panicked");
-        let s = state.into_inner().unwrap_or_else(|e| e.into_inner());
-        s.pool.into_iter().next()
-    }
+    let mut v = ok.into_inner().unwrap_or_else(|e| e.into_inner());
+    v.sort_unstable_by_key(|&(i, _)| i);
+    (workers, Ok(v.into_iter().map(|(_, r)| r).collect()))
 }
 
 #[cfg(test)]
@@ -221,54 +79,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_chunks_preserves_order_and_covers_input() {
-        let items: Vec<u32> = (0..1000).collect();
-        for threads in [1, 2, 4, 8] {
-            let pool = Pool::new(threads);
-            let sums = pool.map_chunks(&items, 16, |s| s.to_vec());
-            let flat: Vec<u32> = sums.into_iter().flatten().collect();
-            assert_eq!(flat, items, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_chunks_serial_for_tiny_input() {
-        let pool = Pool::new(8);
-        let r = pool.map_chunks(&[1u32, 2, 3], 64, |s| s.len());
-        assert_eq!(r, vec![3], "below min_chunk the whole slice is one chunk");
-        let empty: Vec<usize> = pool.map_chunks(&[] as &[u32], 4, |s| s.len());
-        assert_eq!(empty, vec![0]);
-    }
-
-    #[test]
     fn try_map_indexed_returns_lowest_error() {
         let items: Vec<u32> = (0..200).collect();
         for threads in [1, 2, 4, 8] {
-            let pool = Pool::new(threads);
             let (_, r) =
-                pool.try_map_indexed(&items, |i, &x| if x % 31 == 17 { Err(i) } else { Ok(x * 2) });
+                try_map_indexed(
+                    threads,
+                    &items,
+                    |i, &x| if x % 31 == 17 { Err(i) } else { Ok(x * 2) },
+                );
             assert_eq!(r.unwrap_err(), 17, "threads={threads}: lowest failing index wins");
-            let (_, ok) = pool.try_map_indexed(&items, |_, &x| Ok::<_, ()>(x + 1));
+            let (_, ok) = try_map_indexed(threads, &items, |_, &x| Ok::<_, ()>(x + 1));
             assert_eq!(ok.unwrap(), (1..201).collect::<Vec<u32>>());
         }
     }
 
     #[test]
-    fn merge_tree_reduces_to_one_for_any_thread_count() {
-        for threads in [1, 2, 4, 8] {
-            let pool = Pool::new(threads);
-            // Commutative, associative merge: multiset union as sorted vecs.
-            let units: Vec<Vec<u32>> = (0..37).map(|i| vec![i]).collect();
-            let merged = pool
-                .merge_tree(units, |mut a, b| {
-                    a.extend(b);
-                    a.sort_unstable();
-                    a
-                })
-                .expect("non-empty");
-            assert_eq!(merged, (0..37).collect::<Vec<u32>>(), "threads={threads}");
-            assert_eq!(pool.merge_tree(Vec::<Vec<u32>>::new(), |a, _| a), None);
-            assert_eq!(pool.merge_tree(vec![vec![9u32]], |a, _| a), Some(vec![9]));
-        }
+    fn try_map_indexed_reports_the_workers_it_used() {
+        let items: Vec<u32> = (0..3).collect();
+        let ok = |_: usize, &x: &u32| Ok::<_, ()>(x);
+        assert_eq!(try_map_indexed(1, &items, ok).0, 1, "one thread is serial");
+        assert_eq!(try_map_indexed(8, &items[..1], ok).0, 1, "one item is serial");
+        assert_eq!(try_map_indexed(2, &items, ok).0, 2);
+        assert_eq!(try_map_indexed(8, &items, ok).0, 3, "never more workers than items");
     }
 }

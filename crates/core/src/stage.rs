@@ -3,14 +3,9 @@
 
 use crate::atoms::AtomGraph;
 use crate::graph::{DiGraph, UnionFind};
-use crate::pool::Pool;
 use crate::provenance::{MergeProvenance, ProvenanceRule};
 use lsr_trace::{ChareId, EventId, PeId, TaskId, Time, Trace};
 use std::collections::{BTreeMap, HashMap};
-
-/// Partitions per chunk for the per-partition parallel scans: below
-/// this, a spawn costs more than the scan.
-const PART_CHUNK: usize = 64;
 
 /// Counters describing what each stage of the pipeline did; useful for
 /// tests, ablations, and performance reporting.
@@ -54,10 +49,6 @@ pub(crate) struct Stage<'t> {
     pub diag: Diagnostics,
     /// Decision log, collected when provenance was requested.
     pub prov: Option<MergeProvenance>,
-    /// The run's thread policy: every merge stage shards its
-    /// read-only generate pass through this pool and replays the
-    /// result serially (`docs/parallel.md`).
-    pub pool: Pool,
 }
 
 /// A consistent snapshot of the current partitions: dense partition ids,
@@ -74,17 +65,17 @@ pub(crate) struct PartView {
 }
 
 impl<'t> Stage<'t> {
-    pub fn new(trace: &'t Trace, ag: AtomGraph, pool: Pool) -> Stage<'t> {
-        Stage::new_inner(trace, ag, pool, false)
+    pub fn new(trace: &'t Trace, ag: AtomGraph) -> Stage<'t> {
+        Stage::new_inner(trace, ag, false)
     }
 
     /// [`Stage::new`] with decision logging enabled: every union and
     /// inferred edge is recorded in [`Stage::prov`].
-    pub fn with_provenance(trace: &'t Trace, ag: AtomGraph, pool: Pool) -> Stage<'t> {
-        Stage::new_inner(trace, ag, pool, true)
+    pub fn with_provenance(trace: &'t Trace, ag: AtomGraph) -> Stage<'t> {
+        Stage::new_inner(trace, ag, true)
     }
 
-    fn new_inner(trace: &'t Trace, ag: AtomGraph, pool: Pool, record: bool) -> Stage<'t> {
+    fn new_inner(trace: &'t Trace, ag: AtomGraph, record: bool) -> Stage<'t> {
         let mut prov = record.then(MergeProvenance::default);
         // The atom graph's SDAG decisions (taken in `build_atoms`) are
         // part of the provenance too: log absorbs and Sdag edges here,
@@ -106,7 +97,7 @@ impl<'t> Stage<'t> {
             uf.union(a, b);
         }
         let diag = Diagnostics { atoms: ag.atoms.len(), ..Diagnostics::default() };
-        Stage { trace, ag, uf, extra_edges: Vec::new(), diag, prov, pool }
+        Stage { trace, ag, uf, extra_edges: Vec::new(), diag, prov }
     }
 
     /// Logs a decision on two atoms (resolved to their tasks) when
@@ -193,26 +184,17 @@ impl PartView {
         self.atoms_in.len()
     }
 
-    /// Distinct chares of each partition (sorted). Each partition is
-    /// independent, so the scan shards over partition chunks; chunk
-    /// results concatenate back in partition order.
+    /// Distinct chares of each partition (sorted).
     pub fn chares(&self, stage: &Stage<'_>) -> Vec<Vec<ChareId>> {
-        stage
-            .pool
-            .map_chunks(&self.atoms_in, PART_CHUNK, |parts| {
-                parts
-                    .iter()
-                    .map(|atoms| {
-                        let mut cs: Vec<ChareId> =
-                            atoms.iter().map(|&a| stage.ag.atoms[a as usize].chare).collect();
-                        cs.sort_unstable();
-                        cs.dedup();
-                        cs
-                    })
-                    .collect::<Vec<_>>()
+        self.atoms_in
+            .iter()
+            .map(|atoms| {
+                let mut cs: Vec<ChareId> =
+                    atoms.iter().map(|&a| stage.ag.atoms[a as usize].chare).collect();
+                cs.sort_unstable();
+                cs.dedup();
+                cs
             })
-            .into_iter()
-            .flatten()
             .collect()
     }
 
@@ -226,32 +208,25 @@ impl PartView {
         &self,
         stage: &Stage<'_>,
     ) -> Vec<BTreeMap<ChareId, (Time, EventId, bool)>> {
-        stage
-            .pool
-            .map_chunks(&self.atoms_in, PART_CHUNK, |parts| {
-                parts
-                    .iter()
-                    .map(|atoms| {
-                        let mut map: BTreeMap<ChareId, (Time, EventId, bool)> = BTreeMap::new();
-                        for &a in atoms {
-                            let atom = &stage.ag.atoms[a as usize];
-                            let ev = atom.events[0];
-                            let t = atom.first_time;
-                            let is_src = stage.trace.event(ev).is_source();
-                            map.entry(atom.chare)
-                                .and_modify(|cur| {
-                                    if (t, ev) < (cur.0, cur.1) {
-                                        *cur = (t, ev, is_src);
-                                    }
-                                })
-                                .or_insert((t, ev, is_src));
-                        }
-                        map
-                    })
-                    .collect::<Vec<_>>()
+        self.atoms_in
+            .iter()
+            .map(|atoms| {
+                let mut map: BTreeMap<ChareId, (Time, EventId, bool)> = BTreeMap::new();
+                for &a in atoms {
+                    let atom = &stage.ag.atoms[a as usize];
+                    let ev = atom.events[0];
+                    let t = atom.first_time;
+                    let is_src = stage.trace.event(ev).is_source();
+                    map.entry(atom.chare)
+                        .and_modify(|cur| {
+                            if (t, ev) < (cur.0, cur.1) {
+                                *cur = (t, ev, is_src);
+                            }
+                        })
+                        .or_insert((t, ev, is_src));
+                }
+                map
             })
-            .into_iter()
-            .flatten()
             .collect()
     }
 
@@ -260,26 +235,19 @@ impl PartView {
     /// look keys up or fold order-independent minimums, so iteration
     /// order cannot reach any output.
     pub fn first_time_per_pe(&self, stage: &Stage<'_>) -> Vec<HashMap<PeId, Time>> {
-        stage
-            .pool
-            .map_chunks(&self.atoms_in, PART_CHUNK, |parts| {
-                parts
-                    .iter()
-                    .map(|atoms| {
-                        let mut map: HashMap<PeId, Time> = HashMap::new();
-                        for &a in atoms {
-                            let atom = &stage.ag.atoms[a as usize];
-                            let pe = stage.trace.task(atom.task).pe;
-                            map.entry(pe)
-                                .and_modify(|t| *t = (*t).min(atom.first_time))
-                                .or_insert(atom.first_time);
-                        }
-                        map
-                    })
-                    .collect::<Vec<_>>()
+        self.atoms_in
+            .iter()
+            .map(|atoms| {
+                let mut map: HashMap<PeId, Time> = HashMap::new();
+                for &a in atoms {
+                    let atom = &stage.ag.atoms[a as usize];
+                    let pe = stage.trace.task(atom.task).pe;
+                    map.entry(pe)
+                        .and_modify(|t| *t = (*t).min(atom.first_time))
+                        .or_insert(atom.first_time);
+                }
+                map
             })
-            .into_iter()
-            .flatten()
             .collect()
     }
 }
@@ -318,8 +286,8 @@ mod tests {
     fn view_reflects_unions() {
         let tr = ring_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
-        let mut stage = Stage::new(&tr, ag, Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
+        let mut stage = Stage::new(&tr, ag);
         let v0 = stage.view();
         assert_eq!(v0.len(), stage.ag.atoms.len());
         stage.uf.union(0, 1);
@@ -332,8 +300,8 @@ mod tests {
     fn cycle_merge_collapses_message_cycles() {
         let tr = ring_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
-        let mut stage = Stage::new(&tr, ag, Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
+        let mut stage = Stage::new(&tr, ag);
         // Union matched endpoints (what the dependency merge does):
         let msg_edges: Vec<(u32, u32)> = stage
             .ag
@@ -358,8 +326,8 @@ mod tests {
     fn initial_events_pick_earliest_per_chare() {
         let tr = ring_trace();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
-        let mut stage = Stage::new(&tr, ag, Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
+        let mut stage = Stage::new(&tr, ag);
         // Merge everything into one partition.
         for a in 1..stage.ag.atoms.len() as u32 {
             stage.uf.union(0, a);

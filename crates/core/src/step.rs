@@ -22,8 +22,8 @@ pub(crate) struct PhaseInput {
 
 /// The per-phase result: local steps per event. Results come back
 /// from the ordering fan-out already in phase-id order
-/// ([`crate::pool::Pool::try_map_indexed`]), so the phase id itself is
-/// not carried along.
+/// ([`crate::pool::try_map_indexed`]), so the phase id itself is not
+/// carried along.
 pub(crate) struct PhaseResult {
     pub local: Vec<(EventId, u64)>,
     pub max_local: u64,
@@ -343,7 +343,6 @@ fn invoking_chare(trace: &Trace, own: ChareId, first: EventId) -> ChareId {
 mod tests {
     use super::*;
     use crate::atoms::build_atoms;
-    use crate::pool::Pool;
     use lsr_trace::{Kind, PeId, Time, TraceBuilder};
 
     /// Build a one-phase scenario: two producers (c0, c1) each send one
@@ -369,7 +368,7 @@ mod tests {
         b.end_task(r0, Time(13));
         let tr = b.build().unwrap();
         let ix = tr.index();
-        let ag = build_atoms(&tr, &ix, &Config::charm(), &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &Config::charm());
         (tr, ag)
     }
 
@@ -490,7 +489,7 @@ mod tests {
         let tr = b.build().unwrap();
         let ix = tr.index();
         let cfg = Config::mpi();
-        let ag = build_atoms(&tr, &ix, &cfg, &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &cfg);
         let (poe, input) = {
             let atoms: Vec<u32> = (0..ag.atoms.len() as u32).collect();
             (vec![0u32; ag.atom_of_event.len()], PhaseInput { id: 0, atoms })
@@ -552,7 +551,7 @@ mod tests {
 
         let ix = tr.index();
         let cfg = Config::mpi().with_process_order(false);
-        let ag = build_atoms(&tr, &ix, &cfg, &Pool::serial());
+        let ag = build_atoms(&tr, &ix, &cfg);
         let atoms: Vec<u32> = (0..ag.atoms.len() as u32).collect();
         let poe = vec![0u32; ag.atom_of_event.len()];
         let input = PhaseInput { id: 0, atoms };

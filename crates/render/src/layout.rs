@@ -4,7 +4,7 @@
 //! each (ordered by array, then index) and all runtime chares of a PE
 //! share a per-PE timeline drawn at the bottom.
 
-use lsr_trace::{Lane, PeId, Trace};
+use lsr_trace::{ChareId, Lane, PeId, Trace};
 use std::collections::HashMap;
 
 /// The vertical arrangement of timelines for a trace.
@@ -23,7 +23,7 @@ impl Layout {
     /// Builds the layout for a trace. Only lanes that actually carry
     /// tasks appear.
     pub fn new(trace: &Trace) -> Layout {
-        let mut app: Vec<(u32, u32)> = Vec::new(); // (array, index)
+        let mut app: Vec<(u32, u32, ChareId)> = Vec::new(); // (array, index, chare)
         let mut runtime_pes: Vec<PeId> = Vec::new();
         let mut seen_app = std::collections::HashSet::new();
         let mut seen_rt = std::collections::HashSet::new();
@@ -32,7 +32,7 @@ impl Layout {
                 Lane::Chare(c) => {
                     let info = trace.chare(c);
                     if seen_app.insert(c) {
-                        app.push((info.array.0, info.index));
+                        app.push((info.array.0, info.index, c));
                     }
                 }
                 Lane::RuntimePe(pe) => {
@@ -46,14 +46,7 @@ impl Layout {
         runtime_pes.sort_unstable();
         let mut lanes = Vec::new();
         let mut labels = Vec::new();
-        for (arr, idx) in app {
-            // Find the chare again (array, index) → id.
-            let chare = trace
-                .chares
-                .iter()
-                .find(|c| c.array.0 == arr && c.index == idx)
-                .expect("chare exists")
-                .id;
+        for (arr, idx, chare) in app {
             lanes.push(Lane::Chare(chare));
             labels.push(format!("{}[{}]", trace.array(lsr_trace::ArrayId(arr)).name, idx));
         }
@@ -116,6 +109,25 @@ mod tests {
         assert_eq!(layout.row(Lane::RuntimePe(PeId(0))), 2);
         assert!(!layout.is_empty());
         assert_eq!(layout.label_width(), 7);
+    }
+
+    /// Two chares sharing an (array, index) pair each keep their own
+    /// lane, so every task has a row.
+    #[test]
+    fn duplicate_array_index_chares_get_their_own_lanes() {
+        let mut b = TraceBuilder::new(1);
+        let app = b.add_array("w", Kind::Application);
+        let c0 = b.add_chare(app, 0, PeId(0));
+        let c1 = b.add_chare(app, 0, PeId(0));
+        let e = b.add_entry("go", None);
+        for (c, t) in [(c0, 0u64), (c1, 5)] {
+            let task = b.begin_task(c, e, PeId(0), Time(t));
+            b.end_task(task, Time(t + 1));
+        }
+        let tr = b.build().unwrap();
+        let layout = Layout::new(&tr);
+        assert_eq!(layout.len(), 2);
+        assert_ne!(layout.row(Lane::Chare(c0)), layout.row(Lane::Chare(c1)));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! Extraction flags: `--mpi` (message-passing model), `--physical`
 //! (no reordering), `--no-infer`, `--no-split`, `--no-sdag`,
-//! `--parallel`, `--no-process-order`, `--verify` (re-check the DESIGN
-//! §7 invariants after extraction; panics on violation).
+//! `--no-process-order`, `--verify` (re-check the DESIGN §7 invariants
+//! after extraction; panics on violation), `--threads N` (workers for
+//! the per-phase ordering: 1 = serial, the default; 0 = auto).
 //! Render flags: `--view logical|physical`, `--format ascii|svg`,
 //! `--metric phase|diff|idle|imbalance`, `--out FILE`.
 //!
@@ -112,8 +113,10 @@ fn print_help() {
          \u{20}  shrink <trace> --code C     ddmin-minimize a diagnostic reproducer\n\
          \u{20}  critical-path <trace>       longest dependent chain\n\n\
          EXTRACTION FLAGS (extract/render/metrics/lint/analyze/model/races)\n\
-         \u{20}  --mpi --physical --no-infer --no-split --no-sdag --parallel\n\
-         \u{20}  --no-process-order --verify --threads N (0 = auto)\n\n\
+         \u{20}  --mpi --physical --no-infer --no-split --no-sdag\n\
+         \u{20}  --no-process-order --verify\n\
+         \u{20}  --threads N              workers ordering phases in parallel\n\
+         \u{20}                           (1 = serial, the default; 0 = auto)\n\n\
          LINT FLAGS\n\
          \u{20}  --json                   machine-readable report\n\
          \u{20}  --deny-warnings          exit nonzero on warnings too\n\
@@ -201,7 +204,6 @@ fn parse_opts(
         "no-infer",
         "no-split",
         "no-sdag",
-        "parallel",
         "no-process-order",
         "verify",
         "json",
@@ -295,9 +297,6 @@ fn config_from(
     }
     if opts.contains_key("no-sdag") {
         cfg = cfg.with_sdag(false);
-    }
-    if opts.contains_key("parallel") {
-        cfg = cfg.with_parallel(true);
     }
     if opts.contains_key("no-process-order") {
         cfg = cfg.with_process_order(false);

@@ -1,10 +1,10 @@
 //! Serial/parallel differential suite (docs/parallel.md): extraction
 //! must be **bit-identical** at every thread count — same
 //! `LogicalStructure`, same `MergeProvenance` decision log, and the
-//! audit certificate must still replay cleanly. The parallel pipeline
-//! only shards candidate *discovery*; every order-sensitive decision is
-//! replayed serially in canonical input order, so any divergence here
-//! is a determinism bug, not tolerable noise.
+//! audit certificate must still replay cleanly. Phase finding is
+//! serial and only the per-phase ordering fans out, with results
+//! gathered in phase-id order, so any divergence here is a determinism
+//! bug, not tolerable noise.
 
 mod support;
 
@@ -14,9 +14,9 @@ use lsr_trace::Trace;
 use proptest::prelude::*;
 
 /// The thread counts the suite sweeps. 1 is the serial reference; the
-/// rest exercise chunk boundaries, the merge tree, and worker counts
-/// above the host's core count (the pool caps nothing — determinism
-/// may not depend on how many workers actually run).
+/// rest exercise the ordering fan-out, including worker counts above
+/// the host's core count (determinism may not depend on how many
+/// workers actually run).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// All eleven generator presets with the configuration their CLI
@@ -88,12 +88,17 @@ fn audit_certificate_holds_at_every_thread_count() {
     }
 }
 
-/// `--parallel` phase ordering composes with the sharded pipeline: the
-/// thread policy must not perturb the worker-queue schedule's *output*.
+/// `threads = 0` (auto: the host's available parallelism) is
+/// byte-identical to serial, whatever the host's core count.
 #[test]
 fn parallel_ordering_is_thread_count_invariant() {
     for (name, trace, cfg) in presets() {
-        assert_identical(name, &trace, &cfg.clone().with_parallel(true));
+        let serial = try_extract_with_provenance(&trace, &cfg.clone().with_threads(1))
+            .unwrap_or_else(|e| panic!("{name}/serial: {e}"));
+        let auto = try_extract_with_provenance(&trace, &cfg.clone().with_threads(0))
+            .unwrap_or_else(|e| panic!("{name}/auto: {e}"));
+        assert_eq!(serial.0, auto.0, "{name}: structure differs between serial and auto");
+        assert_eq!(serial.1, auto.1, "{name}: provenance differs between serial and auto");
     }
 }
 
@@ -134,7 +139,7 @@ proptest! {
 }
 
 /// A typed extraction error surfaces identically through the parallel
-/// pool: `try_extract*` on a windowed degenerate trace must return the
+/// ordering: `try_extract*` on a windowed degenerate trace must return the
 /// same `ExtractError` (not a panic, not a different error) at every
 /// thread count. Exercised end-to-end here; the cyclic-phase-graph
 /// variant lives next to the stage internals in `lsr-core` unit tests,

@@ -55,7 +55,7 @@ proptest! {
     ) {
         let trace = support::trace_from_tape(pes, chares, &tape);
         let serial = extract(&trace, &Config::charm());
-        let parallel = extract(&trace, &Config::charm().with_parallel(true));
+        let parallel = extract(&trace, &Config::charm().with_threads(4));
         prop_assert_eq!(serial.step, parallel.step);
         prop_assert_eq!(serial.local_step, parallel.local_step);
     }
