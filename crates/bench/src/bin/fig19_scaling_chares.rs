@@ -6,7 +6,23 @@
 
 use lsr_apps::{lulesh_charm, LuleshParams};
 use lsr_bench::{banner, full_scale, loglog_slope, secs, timed, write_artifact};
-use lsr_core::{extract_timed, Config};
+use lsr_core::{extract, Config};
+use lsr_obs::{Profile, Recorder};
+
+/// Fraction of the `extract` span spent in the §3.1.4 stages: source
+/// inference, leap resolution and DAG enforcement.
+fn leap_share(profile: &Profile) -> f64 {
+    let extract = profile.spans.iter().position(|s| s.name == "extract").expect("extract span");
+    let total = profile.spans[extract].dur_ns.expect("extract span closed");
+    let leap: u64 = profile
+        .spans
+        .iter()
+        .filter(|s| s.parent == Some(extract))
+        .filter(|s| matches!(s.name.as_str(), "infer" | "leap_resolution" | "enforce"))
+        .map(|s| s.dur_ns.expect("stage span closed"))
+        .sum();
+    leap as f64 / total.max(1) as f64
+}
 
 fn main() {
     banner("Fig 19", "extraction time vs chare count (8-iteration LULESH)");
@@ -25,18 +41,18 @@ fn main() {
     for &side in &sides {
         let chares = side * side * side;
         let trace = lulesh_charm(&LuleshParams::scaling(side, 8));
-        let ((ls, stages), dt) = timed(|| extract_timed(&trace, &Config::charm()));
+        let rec = Recorder::enabled();
+        let (ls, dt) = timed(|| extract(&trace, &Config::charm().with_recorder(rec.clone())));
         ls.verify(&trace).expect("invariants");
         // The same extraction with Config::verify_invariants: the
         // promoted assertions plus the final StructureVerifier pass.
         // Its cost must stay a small constant factor.
-        let (_, dt_verify) = timed(|| extract_timed(&trace, &Config::charm().with_verify(true)));
+        let (_, dt_verify) = timed(|| extract(&trace, &Config::charm().with_verify(true)));
         let overhead = dt_verify.as_secs_f64() / dt.as_secs_f64().max(1e-12) - 1.0;
         worst_overhead = worst_overhead.max(overhead);
         // "The amount of time performing the merge of Section 3.1.4
         // comprises the bulk of the additional time" — measure it.
-        let leap_share = (stages.infer + stages.leap_resolution + stages.enforce).as_secs_f64()
-            / stages.total().as_secs_f64().max(1e-12);
+        let leap_share = leap_share(&rec.profile("fig19").expect("enabled recorder"));
         println!(
             "{chares:>6} | {:>8} | {:>9} | {:>6} | {:>15} | {:>11.1}% | {:>9} ({:>+5.1}%)",
             trace.tasks.len(),

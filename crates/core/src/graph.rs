@@ -1,5 +1,13 @@
-//! Graph machinery for the partition stage: union-find and an
-//! iterative Tarjan SCC used by the cycle merges.
+//! The workspace's graph core: union-find and an iterative Tarjan SCC
+//! for the cycle merges, and the one Kahn pass behind every
+//! topological order, longest-path level and cycle witness.
+//!
+//! The Kahn pass takes its adjacency as a `u32 → &[u32]` accessor, so
+//! the same code serves `Vec<Vec<u32>>` lists ([`DiGraph`], the step
+//! graph, the flow graph) and CSR arrays (the happened-before index).
+//! `lsr-audit` keeps its own union-find, Tarjan and topological order
+//! on purpose: its certificate must not share code with the pipeline
+//! it checks.
 
 /// Union-find over dense `u32` ids with path halving and union by size.
 #[derive(Debug, Clone)]
@@ -62,14 +70,134 @@ impl UnionFind {
     }
 }
 
+/// Kahn's pass over nodes `0..n`, whose out-neighbors `succs(u)`
+/// lists (multi-edges count once per copy; a self-loop is a cycle).
+/// Returns the nodes in topological order, FIFO among the ready ones,
+/// as far as one exists: on a cyclic graph the nodes on or downstream
+/// of a cycle are left out, and the order is shorter than `n`.
+/// `relax(u, v)` sees every edge out of a placed node, after `u` and
+/// before `v` is placed.
+fn kahn<'a>(
+    n: usize,
+    succs: impl Fn(u32) -> &'a [u32],
+    mut relax: impl FnMut(u32, u32),
+) -> Vec<u32> {
+    let mut indeg = vec![0u32; n];
+    for u in 0..n as u32 {
+        for &v in succs(u) {
+            indeg[v as usize] += 1;
+        }
+    }
+    // The order doubles as the queue: `head` is the next node to place.
+    let mut order = Vec::with_capacity(n);
+    order.extend((0..n as u32).filter(|&v| indeg[v as usize] == 0));
+    let mut head = 0;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
+        for &v in succs(u) {
+            relax(u, v);
+            indeg[v as usize] -= 1;
+            if indeg[v as usize] == 0 {
+                order.push(v);
+            }
+        }
+    }
+    order
+}
+
+/// Kahn's topological order, stopping short on a cyclic graph: the
+/// nodes on or downstream of a cycle are missing. For callers that
+/// handle the leftovers themselves; [`topo_order`] names a cycle.
+pub fn kahn_order<'a>(n: usize, succs: impl Fn(u32) -> &'a [u32]) -> Vec<u32> {
+    kahn(n, succs, |_, _| {})
+}
+
+/// Kahn's topological order over nodes `0..n` with out-neighbors
+/// `succs(u)`. On a cyclic graph returns `Err` with the members of one
+/// cycle, in edge order, so callers can name the culprits instead of
+/// reporting "cycle detected".
+pub fn topo_order<'a>(n: usize, succs: impl Fn(u32) -> &'a [u32]) -> Result<Vec<u32>, Vec<u32>> {
+    let order = kahn_order(n, &succs);
+    if order.len() == n {
+        Ok(order)
+    } else {
+        Err(cycle_witness(n, succs, &order))
+    }
+}
+
+/// Longest-path level of every node: 0 for a root (no in-edges),
+/// otherwise one past its deepest predecessor. This is the paper's
+/// *leap* of a phase (§3.1.4) and the local step of an event (§3.2).
+/// A cyclic graph has no levels: `Err` carries the same witness as
+/// [`topo_order`].
+pub fn longest_path_levels<'a>(
+    n: usize,
+    succs: impl Fn(u32) -> &'a [u32],
+) -> Result<Vec<u32>, Vec<u32>> {
+    let mut level = vec![0u32; n];
+    let order = kahn(n, &succs, |u, v| {
+        level[v as usize] = level[v as usize].max(level[u as usize] + 1);
+    });
+    if order.len() == n {
+        Ok(level)
+    } else {
+        Err(cycle_witness(n, succs, &order))
+    }
+}
+
+/// One cycle among the nodes a Kahn pass left out of `order`, in edge
+/// order. Those leftovers are exactly the nodes on or downstream of a
+/// cycle, so a depth-first search restricted to them, started from
+/// each in id order and taking successors in list order, meets a back
+/// edge; the path suffix it closes is the witness.
+fn cycle_witness<'a>(n: usize, succs: impl Fn(u32) -> &'a [u32], order: &[u32]) -> Vec<u32> {
+    // Colors: 0 unvisited leftover, 1 on the path, 2 done (placed by
+    // Kahn, or fully explored).
+    let mut color = vec![0u8; n];
+    for &v in order {
+        color[v as usize] = 2;
+    }
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    let mut path: Vec<u32> = Vec::new();
+    for start in 0..n as u32 {
+        if color[start as usize] != 0 {
+            continue;
+        }
+        stack.push((start, 0));
+        color[start as usize] = 1;
+        path.push(start);
+        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+            let Some(&v) = succs(u).get(*next) else {
+                color[u as usize] = 2;
+                stack.pop();
+                path.pop();
+                continue;
+            };
+            *next += 1;
+            match color[v as usize] {
+                0 => {
+                    color[v as usize] = 1;
+                    stack.push((v, 0));
+                    path.push(v);
+                }
+                1 => {
+                    let at = path.iter().position(|&x| x == v).expect("v is on the path");
+                    return path.split_off(at);
+                }
+                _ => {}
+            }
+        }
+    }
+    unreachable!("Kahn leftovers always contain a cycle")
+}
+
 /// A condensed directed graph over `n` nodes with adjacency lists.
 /// Nodes are dense `u32`s; parallel edges are deduplicated at build.
 #[derive(Debug, Clone)]
 pub struct DiGraph {
     /// Out-neighbors per node, sorted and deduplicated.
     pub succs: Vec<Vec<u32>>,
-    /// In-degree per node.
-    pub indeg: Vec<u32>,
 }
 
 impl DiGraph {
@@ -81,15 +209,11 @@ impl DiGraph {
                 succs[u as usize].push(v);
             }
         }
-        let mut indeg = vec![0u32; n];
         for list in &mut succs {
             list.sort_unstable();
             list.dedup();
-            for &v in list.iter() {
-                indeg[v as usize] += 1;
-            }
         }
-        DiGraph { succs, indeg }
+        DiGraph { succs }
     }
 
     /// Number of nodes.
@@ -102,85 +226,18 @@ impl DiGraph {
         self.succs.is_empty()
     }
 
-    /// Kahn topological order. On a cyclic graph returns `Err` with
-    /// the members of one offending cycle, in edge order, so callers
-    /// can name the culprits instead of reporting "cycle detected".
+    /// [`topo_order`] of this graph.
     pub fn topo_order(&self) -> Result<Vec<u32>, Vec<u32>> {
-        let mut indeg = self.indeg.clone();
-        let mut queue: Vec<u32> =
-            (0..self.len() as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(self.len());
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            order.push(u);
-            for &v in &self.succs[u as usize] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() == self.len() {
-            Ok(order)
-        } else {
-            Err(self.residual_cycle(&indeg))
-        }
+        topo_order(self.len(), |u| &self.succs[u as usize])
     }
 
-    /// Extracts one cycle from the residual graph Kahn left behind
-    /// (nodes with positive remaining in-degree). Every residual node
-    /// has a residual predecessor — its remaining in-degree counts
-    /// exactly the edges from never-dequeued nodes — so a predecessor
-    /// walk from any residual node must revisit one; the segment
-    /// between the two visits is a cycle, returned in edge order.
-    fn residual_cycle(&self, indeg: &[u32]) -> Vec<u32> {
-        let mut pred = vec![u32::MAX; self.len()];
-        for u in 0..self.len() {
-            if indeg[u] > 0 {
-                for &v in &self.succs[u] {
-                    if indeg[v as usize] > 0 && pred[v as usize] == u32::MAX {
-                        pred[v as usize] = u as u32;
-                    }
-                }
-            }
-        }
-        let start = (0..self.len() as u32)
-            .find(|&v| indeg[v as usize] > 0)
-            .expect("residual graph is non-empty");
-        let mut seen_at = vec![usize::MAX; self.len()];
-        let mut path: Vec<u32> = Vec::new();
-        let mut cur = start;
-        loop {
-            if seen_at[cur as usize] != usize::MAX {
-                path.drain(..seen_at[cur as usize]);
-                path.reverse(); // predecessor walk yields reverse edge order
-                return path;
-            }
-            seen_at[cur as usize] = path.len();
-            path.push(cur);
-            cur = pred[cur as usize];
-            debug_assert_ne!(cur, u32::MAX, "residual node keeps a residual predecessor");
-        }
-    }
-
-    /// Longest-path distance from any root (in-degree 0), i.e. the
-    /// paper's *leap* of each node (§3.1.4). Requires a DAG: a cyclic
-    /// graph returns `Err` with the members of one offending cycle in
-    /// edge order (the same witness as [`DiGraph::topo_order`]), which
-    /// the pipeline surfaces as
+    /// [`longest_path_levels`] of this graph: the paper's *leap* of
+    /// each phase (§3.1.4). A cyclic graph returns `Err` with one
+    /// cycle's members in edge order, which the pipeline surfaces as
     /// [`ExtractError::PhaseCycle`](crate::ExtractError::PhaseCycle)
     /// instead of panicking.
     pub fn leaps(&self) -> Result<Vec<u32>, Vec<u32>> {
-        let order = self.topo_order()?;
-        let mut leap = vec![0u32; self.len()];
-        for &u in &order {
-            for &v in &self.succs[u as usize] {
-                leap[v as usize] = leap[v as usize].max(leap[u as usize] + 1);
-            }
-        }
-        Ok(leap)
+        longest_path_levels(self.len(), |u| &self.succs[u as usize])
     }
 
     /// Strongly connected components via iterative Tarjan. Returns
@@ -280,7 +337,6 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1), (0, 1), (1, 1), (1, 2)]);
         assert_eq!(g.succs[0], vec![1]);
         assert_eq!(g.succs[1], vec![2]);
-        assert_eq!(g.indeg, vec![0, 1, 1]);
     }
 
     #[test]

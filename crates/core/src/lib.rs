@@ -110,40 +110,6 @@ impl std::fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// Wall-clock time spent in each pipeline stage, reported by
-/// [`extract_timed`]. Backs the Fig. 19 discussion: at high chare
-/// counts the §3.1.4 leap machinery dominates the added time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// Initial partitions (§3.1.1) including trace indexing.
-    pub atoms: std::time::Duration,
-    /// Dependency merge + first cycle merge (Alg. 1).
-    pub dependency_merge: std::time::Duration,
-    /// Collective merge and serial-block repair (Alg. 2).
-    pub repair: std::time::Duration,
-    /// Source-time inference (Alg. 3).
-    pub infer: std::time::Duration,
-    /// Leap overlap resolution (Alg. 4 + app/runtime ordering).
-    pub leap_resolution: std::time::Duration,
-    /// DAG property enforcement (Alg. 5 + per-chare chaining).
-    pub enforce: std::time::Duration,
-    /// Step assignment and assembly (§3.2).
-    pub ordering: std::time::Duration,
-}
-
-impl StageTimings {
-    /// Total pipeline time.
-    pub fn total(&self) -> std::time::Duration {
-        self.atoms
-            + self.dependency_merge
-            + self.repair
-            + self.infer
-            + self.leap_resolution
-            + self.enforce
-            + self.ordering
-    }
-}
-
 /// Span names the pipeline always opens under its root `"extract"`
 /// span, in stage order, through [`Config::recorder`]. The conditional
 /// stages — `"repair"` (with [`Config::split_app_runtime`]),
@@ -156,13 +122,13 @@ pub const EXTRACT_STAGE_SPANS: &[&str] =
     &["atoms", "dependency_merge", "collective_merge", "leap_resolution", "enforce", "ordering"];
 
 /// One observation of the partition state after a pipeline stage,
-/// reported to the [`extract_observed`] callback. Used by the lint
+/// reported to the [`try_extract_observed`] callback. Used by the lint
 /// framework to check invariant 1 (the partition graph is a DAG after
 /// every merge stage) without exposing the internal `Stage`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
-    /// Stage name (matches the [`StageTimings`] field names plus the
-    /// sub-stages they aggregate).
+    /// Stage name (one of [`EXTRACT_STAGE_SPANS`] or a conditional
+    /// stage's span name).
     pub stage: &'static str,
     /// Number of partitions after the stage.
     pub partitions: usize,
@@ -185,22 +151,7 @@ pub fn extract(trace: &Trace, cfg: &Config) -> LogicalStructure {
 /// [`extract`] returning a typed error instead of panicking when the
 /// trace's timestamps contradict causality.
 pub fn try_extract(trace: &Trace, cfg: &Config) -> Result<LogicalStructure, ExtractError> {
-    try_extract_timed(trace, cfg).map(|(ls, _)| ls)
-}
-
-/// [`extract`], also reporting per-stage wall-clock times.
-///
-/// Panics on [`ExtractError`]; see [`try_extract_timed`].
-pub fn extract_timed(trace: &Trace, cfg: &Config) -> (LogicalStructure, StageTimings) {
-    try_extract_timed(trace, cfg).unwrap_or_else(|e| panic!("extract: {e}"))
-}
-
-/// [`extract_timed`] returning a typed error instead of panicking.
-pub fn try_extract_timed(
-    trace: &Trace,
-    cfg: &Config,
-) -> Result<(LogicalStructure, StageTimings), ExtractError> {
-    try_extract_observed(trace, cfg, None)
+    extract_inner(trace, cfg, None, None)
 }
 
 /// [`extract`], also returning the [`MergeProvenance`] decision log:
@@ -221,34 +172,24 @@ pub fn try_extract_with_provenance(
     cfg: &Config,
 ) -> Result<(LogicalStructure, MergeProvenance), ExtractError> {
     let mut prov = None;
-    let (ls, _) = extract_inner(trace, cfg, None, Some(&mut prov))?;
+    let ls = extract_inner(trace, cfg, None, Some(&mut prov))?;
     Ok((ls, prov.unwrap_or_default()))
 }
 
-/// [`extract_timed`], additionally reporting a [`StageSnapshot`] after
+/// [`try_extract`], additionally reporting a [`StageSnapshot`] after
 /// each pipeline stage to `observer`. Snapshot construction costs a
 /// partition-view rebuild per stage, so it only happens when an
-/// observer is present; timings therefore exclude observation.
+/// observer is present; the recorder's stage spans close before each
+/// observation, so they exclude it.
 ///
 /// With [`Config::verify_invariants`] set, the final structure is
 /// re-checked with [`StructureVerifier`] and the pipeline's internal
 /// `debug_assert!`s run in release builds too; any violation panics.
-///
-/// Panics on [`ExtractError`]; see [`try_extract_observed`].
-pub fn extract_observed(
-    trace: &Trace,
-    cfg: &Config,
-    observer: Option<&mut dyn FnMut(StageSnapshot)>,
-) -> (LogicalStructure, StageTimings) {
-    try_extract_observed(trace, cfg, observer).unwrap_or_else(|e| panic!("extract: {e}"))
-}
-
-/// [`extract_observed`] returning a typed error instead of panicking.
 pub fn try_extract_observed(
     trace: &Trace,
     cfg: &Config,
     observer: Option<&mut dyn FnMut(StageSnapshot)>,
-) -> Result<(LogicalStructure, StageTimings), ExtractError> {
+) -> Result<LogicalStructure, ExtractError> {
     extract_inner(trace, cfg, observer, None)
 }
 
@@ -257,16 +198,10 @@ fn extract_inner(
     cfg: &Config,
     mut observer: Option<&mut dyn FnMut(StageSnapshot)>,
     prov_out: Option<&mut Option<MergeProvenance>>,
-) -> Result<(LogicalStructure, StageTimings), ExtractError> {
-    use std::time::Instant;
-    let mut t = StageTimings::default();
-    let mut elapsed = std::time::Duration::ZERO;
-    let mut mark = Instant::now();
-    // Pauses the stage clock while an observer inspects the stage.
+) -> Result<LogicalStructure, ExtractError> {
     macro_rules! observe {
         ($stage:expr, $name:literal) => {
             if let Some(obs) = observer.as_deref_mut() {
-                elapsed += mark.elapsed();
                 let v = $stage.view();
                 let cycle = v.graph.topo_order().err().unwrap_or_default();
                 obs(StageSnapshot {
@@ -275,7 +210,6 @@ fn extract_inner(
                     is_dag: cycle.is_empty(),
                     cycle,
                 });
-                mark = Instant::now();
             }
         };
     }
@@ -283,8 +217,8 @@ fn extract_inner(
     // The recorder only observes — spans and counters, never data flow
     // — so an enabled recorder must not change any output (differential
     // property in tests/obs_properties.rs). Span guards are dropped
-    // explicitly before each observe!/stamp so the recorded stage time
-    // excludes observation, matching the StageTimings contract.
+    // explicitly before each observe! so the recorded stage time
+    // excludes observation.
     let rec = &cfg.recorder;
     let span_extract = rec.span("extract");
 
@@ -305,7 +239,6 @@ fn extract_inner(
     };
     drop(sp);
     observe!(stage, "atoms");
-    stamp(&mut mark, &mut elapsed, &mut t.atoms);
 
     let sp = rec.span("dependency_merge");
     merges::dependency_merge(&mut stage);
@@ -315,7 +248,6 @@ fn extract_inner(
     merges::collective_merge(&mut stage, &ix);
     drop(sp);
     observe!(stage, "collective_merge");
-    stamp(&mut mark, &mut elapsed, &mut t.dependency_merge);
 
     if cfg.split_app_runtime {
         let sp = rec.span("repair");
@@ -329,7 +261,6 @@ fn extract_inner(
         drop(sp);
         observe!(stage, "neighbor_serial");
     }
-    stamp(&mut mark, &mut elapsed, &mut t.repair);
 
     if cfg.infer_dependencies {
         let sp = rec.span("infer");
@@ -337,20 +268,17 @@ fn extract_inner(
         drop(sp);
         observe!(stage, "infer");
     }
-    stamp(&mut mark, &mut elapsed, &mut t.infer);
 
     let sp = rec.span("leap_resolution");
     merges::resolve_leap_overlaps(&mut stage, cfg.infer_dependencies)?;
     drop(sp);
     observe!(stage, "leap_resolution");
-    stamp(&mut mark, &mut elapsed, &mut t.leap_resolution);
 
     let sp = rec.span("enforce");
     merges::enforce_chare_paths(&mut stage)?;
     merges::chain_chare_phases(&mut stage, cfg.verify_invariants)?;
     drop(sp);
     observe!(stage, "enforce");
-    stamp(&mut mark, &mut elapsed, &mut t.enforce);
 
     if let Some(out) = prov_out {
         *out = stage.prov.take();
@@ -358,7 +286,6 @@ fn extract_inner(
     let sp = rec.span("ordering");
     let ls = assemble(trace, &ix, stage, cfg, threads)?;
     drop(sp);
-    stamp(&mut mark, &mut elapsed, &mut t.ordering);
     flush_diag_counters(rec, &ls.diagnostics);
     drop(span_extract);
 
@@ -371,7 +298,7 @@ fn extract_inner(
             violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ")
         );
     }
-    Ok((ls, t))
+    Ok(ls)
 }
 
 /// Flushes the per-rule merge and edge counts onto the recorder so a
@@ -393,18 +320,6 @@ fn flush_diag_counters(rec: &lsr_obs::Recorder, d: &Diagnostics) {
     rec.add("core.edges.enforce", d.enforce_edges as u64);
     rec.add("core.phases", d.phase_count as u64);
     rec.add("core.ordering.fallbacks", d.reorder_fallbacks as u64);
-}
-
-/// Accumulates `elapsed + mark.elapsed()` into `slot` and restarts
-/// both the mark and the running tally for the next stage.
-fn stamp(
-    mark: &mut std::time::Instant,
-    elapsed: &mut std::time::Duration,
-    slot: &mut std::time::Duration,
-) {
-    *slot = *elapsed + mark.elapsed();
-    *elapsed = std::time::Duration::ZERO;
-    *mark = std::time::Instant::now();
 }
 
 fn assemble(

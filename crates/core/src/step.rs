@@ -160,11 +160,6 @@ fn try_assign(
     // --- build the step-dependency graph over local event ids ---
     let n = events.len();
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut indeg = vec![0u32; n];
-    let add_edge = |succs: &mut Vec<Vec<u32>>, indeg: &mut Vec<u32>, u: u32, v: u32| {
-        succs[u as usize].push(v);
-        indeg[v as usize] += 1;
-    };
     // Lane chains in the chosen order.
     for atoms in &lane_orders {
         let mut prev: Option<u32> = None;
@@ -172,55 +167,31 @@ fn try_assign(
             for &e in &ag.atoms[a as usize].events {
                 let cur = local_of[&e];
                 if let Some(p) = prev {
-                    add_edge(&mut succs, &mut indeg, p, cur);
+                    succs[p as usize].push(cur);
                 }
                 prev = Some(cur);
             }
         }
     }
-    // Message edges within the phase.
-    for (&e, &le) in &local_of {
+    // Message edges within the phase, in local-id order: the cycle
+    // witness follows successor-list order, so it must not depend on
+    // a hash map's iteration order.
+    for (le, &e) in events.iter().enumerate() {
         if let EventKind::Recv { msg: Some(m) } = trace.event(e).kind {
             let send = trace.msg(m).send_event;
             if phase_of_event[send.index()] == input.id {
                 if let Some(&ls) = local_of.get(&send) {
-                    add_edge(&mut succs, &mut indeg, ls, le);
+                    succs[ls as usize].push(le as u32);
                 }
             }
         }
     }
 
-    // --- longest-path steps via Kahn; Err(cycle witness) on cycle ---
-    let mut steps = vec![0u64; n];
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut head = 0;
-    let mut visited = 0usize;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        visited += 1;
-        #[allow(clippy::needless_range_loop)] // succs[u] is re-borrowed each round
-        for i in 0..succs[u as usize].len() {
-            let v = succs[u as usize][i];
-            steps[v as usize] = steps[v as usize].max(steps[u as usize] + 1);
-            indeg[v as usize] -= 1;
-            if indeg[v as usize] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    if visited != n {
-        // Rebuild as a DiGraph only on this cold path: its witness
-        // extraction names one offending cycle, mapped back to events.
-        let g = crate::graph::DiGraph::from_edges(
-            n,
-            succs.iter().enumerate().flat_map(|(u, vs)| vs.iter().map(move |&v| (u as u32, v))),
-        );
-        let cycle = g.topo_order().expect_err("Kahn already found a cycle");
-        return Err(cycle.into_iter().map(|le| events[le as usize]).collect());
-    }
-    let max_local = steps.iter().copied().max().unwrap_or(0);
-    let local = events.iter().zip(&steps).map(|(&e, &s)| (e, s)).collect();
+    // --- longest-path steps; Err(cycle witness) on a cycle ---
+    let steps = crate::graph::longest_path_levels(n, |u| &succs[u as usize])
+        .map_err(|cycle| cycle.into_iter().map(|le| events[le as usize]).collect::<Vec<_>>())?;
+    let max_local = steps.iter().copied().max().map_or(0, u64::from);
+    let local = events.iter().zip(&steps).map(|(&e, &s)| (e, u64::from(s))).collect();
     Ok(PhaseResult { local, max_local, fallback: false })
 }
 

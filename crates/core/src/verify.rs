@@ -30,7 +30,9 @@ pub const DEFAULT_VIOLATION_LIMIT: usize = 64;
 /// working.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvariantViolation {
-    /// The per-event tables disagree with the trace's event count.
+    /// The per-event tables disagree with the trace's event count, or
+    /// the phase graph has more rows than there are phases or names a
+    /// phase that does not exist.
     TableSizeMismatch,
     /// An event's phase id is out of range.
     EventWithoutPhase {
@@ -219,10 +221,14 @@ impl StructureVerifier {
         }
 
         // Table sizes first: the remaining checks index these tables,
-        // so nothing else can be checked safely if they mismatch.
+        // so nothing else can be checked safely if they mismatch. The
+        // phase graph indexes `phases` by both ends of every edge.
+        let nphases = ls.phases.len();
         if ls.phase_of_event.len() != trace.events.len()
             || ls.step.len() != trace.events.len()
             || ls.local_step.len() != trace.events.len()
+            || ls.phase_succs.len() > nphases
+            || ls.phase_succs.iter().flatten().any(|&s| s as usize >= nphases)
         {
             out.push(InvariantViolation::TableSizeMismatch);
             return out;

@@ -375,29 +375,8 @@ impl ReachOracle {
     /// Builds the oracle. `Err` carries the members of one cycle, in
     /// edge order, when the graph is not a DAG.
     pub fn build(g: &FlowGraph) -> Result<ReachOracle, Vec<u32>> {
-        let n = g.len();
-        // Kahn order; delegate witness extraction to the pipeline's
-        // DiGraph on the cold path so both report cycles identically.
-        let indeg0: Vec<u32> = (0..n).map(|v| g.preds[v].len() as u32).collect();
-        let mut indeg = indeg0.clone();
-        let mut topo: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut head = 0;
-        while head < topo.len() {
-            let u = topo[head];
-            head += 1;
-            for &v in &g.succs[u as usize] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    topo.push(v);
-                }
-            }
-        }
-        if topo.len() < n {
-            let dig = lsr_core::graph::DiGraph { succs: g.succs.clone(), indeg: indeg0 };
-            return Err(dig.topo_order().expect_err("Kahn already found a cycle"));
-        }
-
-        let mut succ_off = Vec::with_capacity(n + 1);
+        let topo = lsr_core::graph::topo_order(g.len(), |u| &g.succs[u as usize])?;
+        let mut succ_off = Vec::with_capacity(g.len() + 1);
         succ_off.push(0u32);
         let mut succ = Vec::with_capacity(g.edge_count());
         for list in &g.succs {

@@ -57,31 +57,19 @@ pub struct Solution<F> {
 /// Runs `analysis` to its least fixpoint over `g`.
 pub fn solve<A: Analysis>(g: &FlowGraph, analysis: &A) -> Solution<A::Fact> {
     let n = g.len();
-    let (into, from): (&[Vec<u32>], &[Vec<u32>]) = match analysis.direction() {
-        Direction::Forward => (&g.succs, &g.preds),
-        Direction::Backward => (&g.preds, &g.succs),
+    let into: &[Vec<u32>] = match analysis.direction() {
+        Direction::Forward => &g.succs,
+        Direction::Backward => &g.preds,
     };
     let mut inputs: Vec<A::Fact> = (0..n as u32).map(|v| analysis.init(v)).collect();
     let mut outputs: Vec<A::Fact> =
         inputs.iter().enumerate().map(|(v, f)| analysis.transfer(v as u32, f)).collect();
 
-    // Seed in topological order of the propagation direction (Kahn);
-    // on a DAG every node is then popped exactly once. Cycle leftovers
-    // are appended arbitrarily — the worklist still converges, it just
-    // revisits.
-    let mut indeg: Vec<u32> = (0..n).map(|v| from[v].len() as u32).collect();
-    let mut order: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut head = 0;
-    while head < order.len() {
-        let u = order[head];
-        head += 1;
-        for &v in &into[u as usize] {
-            indeg[v as usize] -= 1;
-            if indeg[v as usize] == 0 {
-                order.push(v);
-            }
-        }
-    }
+    // Seed in topological order of the propagation direction (the
+    // shared Kahn pass); on a DAG every node is then popped exactly
+    // once. Cycle leftovers are appended in id order — the worklist
+    // still converges, it just revisits.
+    let mut order = lsr_core::graph::kahn_order(n, |u| &into[u as usize]);
     if order.len() < n {
         let mut seen = vec![false; n];
         for &v in &order {

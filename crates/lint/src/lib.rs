@@ -158,7 +158,7 @@ pub fn lint_trace(trace: &Trace, opts: &LintOptions) -> LintReport {
         let cfg = opts.config.clone().with_verify(false);
         let mut snapshots: Vec<StageSnapshot> = Vec::new();
         match lsr_core::try_extract_observed(trace, &cfg, Some(&mut |s| snapshots.push(s))) {
-            Ok((ls, _)) => {
+            Ok(ls) => {
                 report.diagnostics.extend(passes::stage_passes(&snapshots));
                 report.diagnostics.extend(passes::structure_passes(trace, &ls, limit));
                 report.structure_checked = true;
@@ -201,7 +201,7 @@ pub fn diagnostic_for(e: &lsr_trace::ValidationError) -> Diagnostic {
 }
 
 /// Runs the pipeline pass (P family) over stage snapshots collected
-/// from [`lsr_core::extract_observed`].
+/// from [`lsr_core::try_extract_observed`].
 pub fn lint_stages(snapshots: &[StageSnapshot]) -> Vec<Diagnostic> {
     passes::stage_passes(snapshots)
 }

@@ -535,32 +535,17 @@ pub fn swap_adjacent_delivery(trace: &Trace, first: TaskId, second: TaskId) -> O
     // Dependency graph of the new schedule: new PE order plus message
     // edges. A cycle means the reversed order is unreachable.
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut indeg = vec![0u32; n];
-    let add = |succs: &mut Vec<Vec<u32>>, indeg: &mut Vec<u32>, a: u32, b: u32| {
-        succs[a as usize].push(b);
-        indeg[b as usize] += 1;
-    };
     for list in &lists {
         for w in list.windows(2) {
-            add(&mut succs, &mut indeg, w[0].0, w[1].0);
+            succs[w[0].index()].push(w[1].0);
         }
     }
     for me in trace.message_edges() {
         if me.from != me.to {
-            add(&mut succs, &mut indeg, me.from.0, me.to.0);
+            succs[me.from.index()].push(me.to.0);
         }
     }
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-    let mut topo = Vec::with_capacity(n);
-    while let Some(t) = queue.pop() {
-        topo.push(t);
-        for &s in &succs[t as usize] {
-            indeg[s as usize] -= 1;
-            if indeg[s as usize] == 0 {
-                queue.push(s);
-            }
-        }
-    }
+    let topo = lsr_core::graph::kahn_order(n, |t| &succs[t as usize]);
     if topo.len() < n {
         return None;
     }

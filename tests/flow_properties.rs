@@ -11,11 +11,13 @@
 //! * dropping every D002-redundant edge (the transitive reduction)
 //!   preserves the reachability relation of a DAG;
 //! * the pipeline's iterative SCC ([`DiGraph::sccs`]) and the audit
-//!   crate's Tarjan agree on the component partition of any digraph.
+//!   crate's Tarjan agree on the component partition of any digraph,
+//!   and the shared Kahn pass ([`topo_order`]) agrees with it on which
+//!   graphs are acyclic and where their cycles lie.
 
 mod support;
 
-use lsr::core::graph::DiGraph;
+use lsr::core::graph::{longest_path_levels, topo_order, DiGraph};
 use lsr::flow::{FlowGraph, ReachOracle};
 use lsr::lint::{HbIndex, HbMode};
 use lsr::trace::{TaskId, Trace};
@@ -150,7 +152,10 @@ proptest! {
     /// The pipeline's iterative SCC and the audit crate's Tarjan
     /// produce the same partition (up to component renaming) on
     /// arbitrary digraphs — cycles, self-loops, and multi-edges
-    /// included.
+    /// included. The shared Kahn pass, run on the raw adjacency, agrees
+    /// with that partition too: it orders the graph exactly when no
+    /// component is a cycle, and otherwise names a simple cycle of real
+    /// edges inside one component.
     #[test]
     fn core_and_audit_sccs_agree(
         n in 1usize..24,
@@ -170,6 +175,50 @@ proptest! {
                     audit_comp[i] == audit_comp[j],
                     "partition disagrees at ({}, {})", i, j
                 );
+            }
+        }
+
+        let mut raw_succs = vec![Vec::new(); n];
+        for &(u, v) in &edges {
+            raw_succs[u as usize].push(v);
+        }
+        let succs = |u: u32| raw_succs[u as usize].as_slice();
+        let mut comp_size = vec![0usize; n];
+        for &c in &audit_comp {
+            comp_size[c as usize] += 1;
+        }
+        let acyclic = comp_size.iter().all(|&k| k <= 1) && edges.iter().all(|&(u, v)| u != v);
+        match topo_order(n, succs) {
+            Ok(order) => {
+                prop_assert!(acyclic, "ordered a cyclic graph");
+                let mut pos = vec![usize::MAX; n];
+                for (i, &v) in order.iter().enumerate() {
+                    prop_assert_eq!(pos[v as usize], usize::MAX, "{} placed twice", v);
+                    pos[v as usize] = i;
+                }
+                prop_assert_eq!(order.len(), n, "not a permutation");
+                for &(u, v) in &edges {
+                    prop_assert!(pos[u as usize] < pos[v as usize], "edge {} -> {} reversed", u, v);
+                }
+                let level = longest_path_levels(n, succs).expect("same graph orders");
+                for v in 0..n as u32 {
+                    let deepest = edges.iter().filter(|e| e.1 == v).map(|e| level[e.0 as usize] + 1);
+                    prop_assert_eq!(level[v as usize], deepest.max().unwrap_or(0), "level of {}", v);
+                }
+            }
+            Err(cycle) => {
+                prop_assert!(!acyclic, "no order for an acyclic graph");
+                prop_assert_eq!(longest_path_levels(n, succs), Err(cycle.clone()));
+                prop_assert!(!cycle.is_empty(), "empty witness");
+                let mut members = cycle.clone();
+                members.sort_unstable();
+                members.dedup();
+                prop_assert_eq!(members.len(), cycle.len(), "witness {:?} is not simple", cycle);
+                for (i, &u) in cycle.iter().enumerate() {
+                    let v = cycle[(i + 1) % cycle.len()];
+                    prop_assert!(edges.contains(&(u, v)), "{} -> {} is not an edge", u, v);
+                    prop_assert_eq!(audit_comp[u as usize], audit_comp[cycle[0] as usize]);
+                }
             }
         }
     }

@@ -258,6 +258,25 @@ fn s002_phase_graph_cycle() {
     assert!(structure_codes(&tr, &ls).contains(&"S002"));
 }
 
+/// A phase edge to a phase that does not exist is a table-size
+/// violation, not an index panic.
+#[test]
+fn s001_phase_edge_out_of_range() {
+    let (tr, mut ls) = structure_sample();
+    let n = ls.phases.len() as u32;
+    ls.phase_succs[0].push(n);
+    assert_eq!(structure_codes(&tr, &ls), ["S001"]);
+}
+
+/// A phase graph with more rows than phases is a table-size
+/// violation, not an index panic.
+#[test]
+fn s001_phase_table_longer_than_phases() {
+    let (tr, mut ls) = structure_sample();
+    ls.phase_succs.push(vec![0]);
+    assert_eq!(structure_codes(&tr, &ls), ["S001"]);
+}
+
 #[test]
 fn s003_chare_step_collision() {
     let (tr, mut ls) = structure_sample();
