@@ -15,7 +15,7 @@
 use crate::graph::{sccs, IncrementalDag, UnionFind};
 use lsr_core::{Config, LogicalStructure, MergeProvenance, ProvenanceRule, TraceModel, NO_PHASE};
 use lsr_lint::{Diagnostic, Location, Severity};
-use lsr_trace::{EventKind, TaskId, Trace};
+use lsr_trace::{ChareId, EventKind, TaskId, Time, Trace};
 
 /// Default cap on collected audit diagnostics; mirrors the lint
 /// framework's per-pass default.
@@ -180,27 +180,38 @@ fn rule_gate(rule: ProvenanceRule, cfg: &Config) -> Option<(&'static str, bool)>
     }
 }
 
-/// Per-task facts precomputed from the trace and final structure.
+/// Per-task facts precomputed from the trace and final structure, as
+/// flat per-task tables: the replay looks them up at random task ids,
+/// so they stay small enough to cache.
 struct TaskFacts {
     /// Sorted unique final phases of each task's events (valid phases
-    /// only).
-    phases: Vec<Vec<u32>>,
-    /// Earliest/latest event time per task; `None` when the task has
-    /// no events.
-    time_range: Vec<Option<(lsr_trace::Time, lsr_trace::Time)>>,
+    /// only), as CSR: task t's at `phases[phase_off[t]..phase_off[t + 1]]`.
+    phase_off: Vec<u32>,
+    phases: Vec<u32>,
+    /// Earliest and latest event time per task. A task without events
+    /// gets `Time(0)` and `Time(u64::MAX)`, so `first[a] > last[b]`
+    /// never holds when either task has none.
+    first: Vec<Time>,
+    last: Vec<Time>,
+    /// Chare per task.
+    chare: Vec<ChareId>,
 }
 
 impl TaskFacts {
     fn build(trace: &Trace, ls: &LogicalStructure) -> TaskFacts {
         let nphases = ls.phases.len() as u32;
-        let mut phases = vec![Vec::new(); trace.tasks.len()];
-        let mut time_range = vec![None; trace.tasks.len()];
+        let n = trace.tasks.len();
+        let mut phase_off = Vec::with_capacity(n + 1);
+        phase_off.push(0);
+        let mut phases = Vec::new();
+        let mut set = Vec::new();
+        let (mut first, mut last) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for t in &trace.tasks {
-            let set = &mut phases[t.id.index()];
+            set.clear();
+            let mut range: Option<(Time, Time)> = None;
             for e in t.events() {
                 let Some(ev) = trace.events.get(e.index()) else { continue };
-                let tr = &mut time_range[t.id.index()];
-                *tr = match *tr {
+                range = match range {
                     None => Some((ev.time, ev.time)),
                     Some((lo, hi)) => Some((lo.min(ev.time), hi.max(ev.time))),
                 };
@@ -210,10 +221,20 @@ impl TaskFacts {
                     }
                 }
             }
+            let (lo, hi) = range.unwrap_or((Time(0), Time(u64::MAX)));
+            first.push(lo);
+            last.push(hi);
             set.sort_unstable();
             set.dedup();
+            phases.extend_from_slice(&set);
+            phase_off.push(phases.len() as u32);
         }
-        TaskFacts { phases, time_range }
+        let chare = trace.tasks.iter().map(|t| t.chare).collect();
+        TaskFacts { phase_off, phases, first, last, chare }
+    }
+
+    fn phases(&self, t: TaskId) -> &[u32] {
+        &self.phases[self.phase_off[t.index()] as usize..self.phase_off[t.index() + 1] as usize]
     }
 }
 
@@ -254,11 +275,22 @@ pub fn audit(
     // Base happened-before edges of the replay graph, mirroring the
     // atom graph's task-level image: matched messages always, chare
     // (process) order only in the message-passing model with the
-    // process-order flag on.
+    // process-order flag on. The receivers of each task's matched
+    // messages are also kept as CSR (`msg_to[msg_off[a]..msg_off[a +
+    // 1]]`), so the dependency-merge precondition scans one short list.
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut msg_pairs: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+    let mut msg_off = vec![0u32; n + 1];
     for me in trace.message_edges() {
-        msg_pairs.insert((me.from.0, me.to.0));
+        msg_off[me.from.index() + 1] += 1;
+    }
+    for t in 0..n {
+        msg_off[t + 1] += msg_off[t];
+    }
+    let mut fill = msg_off.clone();
+    let mut msg_to = vec![0u32; msg_off[n] as usize];
+    for me in trace.message_edges() {
+        msg_to[fill[me.from.index()] as usize] = me.to.0;
+        fill[me.from.index()] += 1;
         if me.from != me.to {
             edges.push((me.from.0, me.to.0));
         }
@@ -270,7 +302,9 @@ pub fn audit(
         }
     }
 
-    let mut uf = UnionFind::new(n);
+    // Each task's replayed group carries its set of entry types: the
+    // one fact the repair and neighbor-serial preconditions ask of it.
+    let mut uf = UnionFind::new(trace.tasks.iter().map(|t| t.entry.0));
     // Component id per task, recomputed lazily at the start of each
     // contiguous run of CycleMerge records (the pipeline collapses all
     // SCCs of one graph snapshot in one burst, so one Tarjan pass per
@@ -324,7 +358,11 @@ pub fn audit(
         checks += 1;
         let precondition_ok = match rec.rule {
             // Alg. 1: a matched message must connect sender to receiver.
-            ProvenanceRule::DependencyMerge => a == b || msg_pairs.contains(&(a, b)),
+            ProvenanceRule::DependencyMerge => {
+                a == b
+                    || msg_to[msg_off[a as usize] as usize..msg_off[a as usize + 1] as usize]
+                        .contains(&b)
+            }
             // Cycle collapse: both tasks in one SCC of the current
             // replay graph (task-level coarsening preserves SCC
             // membership of the pipeline's partition graph).
@@ -343,17 +381,10 @@ pub fn audit(
             }
             // Alg. 2: the anchor's partition holds a fragment of the
             // same entry type as the reunited fragment.
-            ProvenanceRule::RepairMerge => {
-                let want = trace.task(rec.b).entry;
-                uf.group(a).iter().any(|&t| trace.task(TaskId(t)).entry == want)
-            }
+            ProvenanceRule::RepairMerge => uf.labels(a).binary_search(&uf.label(b)).is_ok(),
             // §3.1.3: the merged partitions hold serials of a common
             // entry type (the group key both were filed under).
-            ProvenanceRule::NeighborSerialMerge => {
-                let ea: std::collections::HashSet<_> =
-                    uf.group(a).iter().map(|&t| trace.task(TaskId(t)).entry).collect();
-                uf.group(b).iter().any(|&t| ea.contains(&trace.task(TaskId(t)).entry))
-            }
+            ProvenanceRule::NeighborSerialMerge => sorted_intersect(uf.labels(a), uf.labels(b)),
             // §7.1: both ends run collective entry methods.
             ProvenanceRule::CollectiveMerge => {
                 trace.entry(trace.task(rec.a).entry).collective
@@ -361,7 +392,7 @@ pub fn audit(
             }
             // §2.1 SDAG heuristics act within one chare.
             ProvenanceRule::SdagAbsorb | ProvenanceRule::SdagEdge => {
-                trace.task(rec.a).chare == trace.task(rec.b).chare
+                facts.chare[rec.a.index()] == facts.chare[rec.b.index()]
             }
             // Representative pairs with no per-record law beyond the
             // phase-sharing and time checks below.
@@ -389,29 +420,26 @@ pub fn audit(
         // A005: time witnesses must be consistent with the trace.
         if rec.timed {
             checks += 1;
-            if let (Some((lo_a, _)), Some((_, hi_b))) =
-                (facts.time_range[rec.a.index()], facts.time_range[rec.b.index()])
+            let (lo_a, hi_b) = (facts.first[rec.a.index()], facts.last[rec.b.index()]);
+            if lo_a > hi_b
+                && !sink.push(diag(
+                    "A005",
+                    "TimeContradiction",
+                    Location::Task { task: rec.a },
+                    format!(
+                        "record {i}: {} orders {} before {} but {}'s earliest event \
+                         ({:?}) is after {}'s latest ({:?})",
+                        rec.rule.name(),
+                        rec.a,
+                        rec.b,
+                        rec.a,
+                        lo_a,
+                        rec.b,
+                        hi_b
+                    ),
+                ))
             {
-                if lo_a > hi_b
-                    && !sink.push(diag(
-                        "A005",
-                        "TimeContradiction",
-                        Location::Task { task: rec.a },
-                        format!(
-                            "record {i}: {} orders {} before {} but {}'s earliest event \
-                             ({:?}) is after {}'s latest ({:?})",
-                            rec.rule.name(),
-                            rec.a,
-                            rec.b,
-                            rec.a,
-                            lo_a,
-                            rec.b,
-                            hi_b
-                        ),
-                    ))
-                {
-                    break 'records;
-                }
+                break 'records;
             }
         }
 
@@ -419,7 +447,7 @@ pub fn audit(
         if is_union_rule(rec.rule) {
             // A003: merged tasks must share a final phase.
             checks += 1;
-            let (pa, pb) = (&facts.phases[rec.a.index()], &facts.phases[rec.b.index()]);
+            let (pa, pb) = (facts.phases(rec.a), facts.phases(rec.b));
             if a != b
                 && !pa.is_empty()
                 && !pb.is_empty()

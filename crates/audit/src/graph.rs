@@ -1,27 +1,36 @@
-//! The auditor's own graph machinery: a union-find with member lists,
-//! a Tarjan SCC pass, and a Pearce–Kelly incremental topological
-//! order. Deliberately re-implemented here — the point of a
-//! certificate checker is to share no data structures with the
-//! producer it audits (`lsr-core` has its own union-find and DAG code;
-//! a bug there must not validate itself).
+//! The auditor's own graph machinery: a union-find carrying a sorted
+//! entry-type set per group, a Tarjan SCC pass, and a Pearce–Kelly
+//! incremental topological order. Deliberately re-implemented here —
+//! the point of a certificate checker is to share no data structures
+//! with the producer it audits (`lsr-core` has its own union-find and
+//! DAG code; a bug there must not validate itself).
 
 /// Union-find over dense `u32` ids with path halving and union by
-/// size, keeping an explicit member list per root so the certificate
-/// checks can ask "does this group contain a task with property P?".
+/// size. Every element carries one label (the certificate check uses
+/// the task's entry-type id) and every root keeps the sorted set of
+/// its group's labels, merged small-to-large on union, so "does this
+/// group hold a task of entry type E?" is a binary search.
 pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    /// Root → members (valid only at the root; merged lists move to
-    /// the surviving root).
-    members: Vec<Vec<u32>>,
+    /// Element → its own label.
+    label: Vec<u32>,
+    /// Root → sorted, deduplicated labels of its group (valid only at
+    /// the root; a merged set moves to the surviving root). Empty for a
+    /// root never joined: its set is its own label.
+    sets: Vec<Vec<u32>>,
 }
 
 impl UnionFind {
-    pub fn new(n: usize) -> UnionFind {
+    /// One singleton group per label, element `i` labelled `labels[i]`.
+    pub fn new(labels: impl IntoIterator<Item = u32>) -> UnionFind {
+        let label: Vec<u32> = labels.into_iter().collect();
+        let n = label.len();
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            members: (0..n as u32).map(|i| vec![i]).collect(),
+            label,
+            sets: vec![Vec::new(); n],
         }
     }
 
@@ -44,15 +53,47 @@ impl UnionFind {
             if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
-        let moved = std::mem::take(&mut self.members[small as usize]);
-        self.members[big as usize].extend(moved);
+        // Small-to-large by set length, independent of which root
+        // survives: each absent label of the shorter set is inserted
+        // into the longer one.
+        let mut into = self.take_set(big);
+        let mut from = self.take_set(small);
+        if into.len() < from.len() {
+            std::mem::swap(&mut into, &mut from);
+        }
+        for l in from {
+            if let Err(at) = into.binary_search(&l) {
+                into.insert(at, l);
+            }
+        }
+        self.sets[big as usize] = into;
         true
     }
 
-    /// Members of the group containing `x`.
-    pub fn group(&mut self, x: u32) -> &[u32] {
-        let r = self.find(x);
-        &self.members[r as usize]
+    /// Moves a root's label set out, materializing a singleton's.
+    fn take_set(&mut self, root: u32) -> Vec<u32> {
+        match std::mem::take(&mut self.sets[root as usize]) {
+            set if set.is_empty() => vec![self.label[root as usize]],
+            set => set,
+        }
+    }
+
+    /// The label of element `x` itself.
+    pub fn label(&self, x: u32) -> u32 {
+        self.label[x as usize]
+    }
+
+    /// The sorted label set of the group containing `x`. Walks to the
+    /// root without compressing, so two sets can be borrowed at once;
+    /// union by size bounds the walk by log₂ of the group size.
+    pub fn labels(&self, mut x: u32) -> &[u32] {
+        while self.parent[x as usize] != x {
+            x = self.parent[x as usize];
+        }
+        match &self.sets[x as usize] {
+            set if set.is_empty() => std::slice::from_ref(&self.label[x as usize]),
+            set => set,
+        }
     }
 }
 
@@ -207,6 +248,50 @@ impl IncrementalDag {
         f_sorted.sort_unstable_by_key(|&x| self.ord[x as usize]);
         for (slot, node) in slots.into_iter().zip(b_sorted.into_iter().chain(f_sorted)) {
             self.ord[node as usize] = slot;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::UnionFind;
+
+    /// SplitMix64: a dependency-free deterministic generator.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// After every union, each group's label set equals the sorted,
+    /// deduplicated labels of all elements sharing its root, found by
+    /// brute force.
+    #[test]
+    fn label_sets_match_brute_force_after_every_union() {
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let n = 1 + (next(&mut rng) % 40) as usize;
+            let nlabels = 1 + next(&mut rng) % 8;
+            let labels: Vec<u32> = (0..n).map(|_| (next(&mut rng) % nlabels) as u32).collect();
+            let mut uf = UnionFind::new(labels.iter().copied());
+            for _ in 0..2 * n {
+                let a = (next(&mut rng) % n as u64) as u32;
+                let b = (next(&mut rng) % n as u64) as u32;
+                let joined = uf.find(a) != uf.find(b);
+                assert_eq!(uf.union(a, b), joined, "seed {seed}: union reports a fresh join");
+                let roots: Vec<u32> = (0..n as u32).map(|x| uf.find(x)).collect();
+                for x in 0..n as u32 {
+                    let mut want: Vec<u32> = (0..n)
+                        .filter(|&y| roots[y] == roots[x as usize])
+                        .map(|y| labels[y])
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(uf.labels(x), &want[..], "seed {seed}: group of {x}");
+                }
+            }
         }
     }
 }

@@ -335,23 +335,18 @@ fn assemble(
     diag.phase_count = nphases;
     cfg.recorder.add("core.ordering.phases", nphases as u64);
 
-    // Per-event phase.
-    let mut phase_of_event = vec![0u32; trace.events.len()];
-    for (a, &p) in v.part_of_atom.iter().enumerate() {
-        for &e in &stage.ag.atoms[a].events {
-            phase_of_event[e.index()] = p;
-        }
-    }
+    // Per-event phase and local id within it.
+    let (phase_of_event, local_idx) = step::index_events(&stage.ag, &v.part_of_atom, nphases);
+    let tables = step::EventTables { phase_of_event: &phase_of_event, local_idx: &local_idx };
 
     // Local step assignment per phase (optionally in parallel, §3.3).
-    let inputs: Vec<step::PhaseInput> = v
+    let inputs: Vec<step::PhaseInput<'_>> = v
         .atoms_in
         .iter()
         .enumerate()
-        .map(|(p, atoms)| step::PhaseInput { id: p as u32, atoms: atoms.clone() })
+        .map(|(p, atoms)| step::PhaseInput { id: p as u32, atoms })
         .collect();
     let ag_ref = &stage.ag;
-    let poe_ref = &phase_of_event;
     // The §3.3 fan-out, the pipeline's one parallel region: dynamic
     // scheduling over phases. Results come back in phase-id order
     // (inputs are in id order) and a failure reports the *lowest*
@@ -359,7 +354,7 @@ fn assemble(
     // would hit first — error selection is deterministic at any thread
     // count.
     let (workers, outcome) = pool::try_map_indexed(threads, &inputs, |_, input| {
-        step::assign_phase_steps(trace, ag_ref, poe_ref, input, cfg)
+        step::assign_phase_steps(trace, ag_ref, tables, input, cfg)
     });
     if cfg.recorder.is_enabled() {
         cfg.recorder.add("core.ordering.workers", workers as u64);
@@ -368,6 +363,8 @@ fn assemble(
         }
     }
     let results: Vec<step::PhaseResult> = outcome?;
+    // The local-id table dies with the fan-out.
+    drop(local_idx);
     diag.reorder_fallbacks = results.iter().filter(|r| r.fallback).count();
 
     // Local steps per event.

@@ -122,15 +122,17 @@ impl<'t> Stage<'t> {
     /// Rebuilds the condensed partition view. O(atoms + edges).
     pub fn view(&mut self) -> PartView {
         let n = self.ag.atoms.len();
-        let mut rep_to_dense: HashMap<u32, u32> = HashMap::new();
+        let mut rep_to_dense = vec![u32::MAX; n];
         let mut part_of_atom = vec![0u32; n];
         let mut atoms_in: Vec<Vec<u32>> = Vec::new();
         for a in 0..n as u32 {
             let r = self.uf.find(a);
-            let dense = *rep_to_dense.entry(r).or_insert_with(|| {
+            let dense = &mut rep_to_dense[r as usize];
+            if *dense == u32::MAX {
+                *dense = atoms_in.len() as u32;
                 atoms_in.push(Vec::new());
-                (atoms_in.len() - 1) as u32
-            });
+            }
+            let dense = *dense;
             part_of_atom[a as usize] = dense;
             atoms_in[dense as usize].push(a);
         }

@@ -11,13 +11,61 @@
 use crate::atoms::AtomGraph;
 use crate::config::{Config, OrderingPolicy, TraceModel};
 use crate::ExtractError;
-use lsr_trace::{ChareId, EventId, EventKind, Lane, Trace};
-use std::collections::HashMap;
+use lsr_trace::{EventId, EventKind, Lane, Time, Trace};
 
-/// One phase to be stepped: its dense id and its atoms.
-pub(crate) struct PhaseInput {
+/// Local id of an event that lies in no atom (and so in no phase's
+/// numbering).
+const NO_LOCAL: u32 = u32::MAX;
+
+/// One phase to be stepped: its dense id and its atoms, in ascending
+/// id order (borrowed from the partition view).
+pub(crate) struct PhaseInput<'a> {
     pub id: u32,
-    pub atoms: Vec<u32>,
+    pub atoms: &'a [u32],
+}
+
+/// The read-only event tables every phase's ordering reads. Phases
+/// partition the events, so one pair of tables serves every phase and
+/// every worker of the fan-out.
+#[derive(Clone, Copy)]
+pub(crate) struct EventTables<'a> {
+    /// Event → phase.
+    pub phase_of_event: &'a [u32],
+    /// Event → local id within its phase: the phase's atoms in
+    /// ascending id order, each atom's events in block order
+    /// ([`NO_LOCAL`] for events in no atom).
+    pub local_idx: &'a [u32],
+}
+
+impl EventTables<'_> {
+    /// `e`'s local id when it belongs to `phase`.
+    #[inline]
+    fn local_in(&self, phase: u32, e: EventId) -> Option<u32> {
+        let l = self.local_idx[e.index()];
+        (self.phase_of_event[e.index()] == phase && l != NO_LOCAL).then_some(l)
+    }
+}
+
+/// Builds the event → phase and event → local id tables of
+/// [`EventTables`] from the atom → phase map. Events in no atom get
+/// phase 0 and [`NO_LOCAL`].
+pub(crate) fn index_events(
+    ag: &AtomGraph,
+    part_of_atom: &[u32],
+    nphases: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let nev = ag.atom_of_event.len();
+    let mut phase_of_event = vec![0u32; nev];
+    let mut local_idx = vec![NO_LOCAL; nev];
+    let mut next = vec![0u32; nphases];
+    for (atom, &p) in ag.atoms.iter().zip(part_of_atom) {
+        for &e in &atom.events {
+            phase_of_event[e.index()] = p;
+            local_idx[e.index()] = next[p as usize];
+            next[p as usize] += 1;
+        }
+    }
+    (phase_of_event, local_idx)
 }
 
 /// The per-phase result: local steps per event. Results come back
@@ -45,11 +93,11 @@ const SOURCE_CHAIN_DEPTH: usize = 8;
 pub(crate) fn assign_phase_steps(
     trace: &Trace,
     ag: &AtomGraph,
-    phase_of_event: &[u32],
-    input: &PhaseInput,
+    tables: EventTables<'_>,
+    input: &PhaseInput<'_>,
     cfg: &Config,
 ) -> Result<PhaseResult, ExtractError> {
-    let mut result = try_assign(trace, ag, phase_of_event, input, cfg, cfg.ordering);
+    let mut result = try_assign(trace, ag, tables, input, cfg, cfg.ordering);
     if result.is_err() && cfg.ordering == OrderingPolicy::Reordered {
         // Pathological reordering (paper: "pathological examples can be
         // constructed"): fall back to the recorded order, which is
@@ -59,8 +107,8 @@ pub(crate) fn assign_phase_steps(
         // occur; this path guards clock-skewed traces, where the
         // single time-ordered pass computing w can miss a dependency
         // whose send was stamped after its receive.
-        result = try_assign(trace, ag, phase_of_event, input, cfg, OrderingPolicy::PhysicalTime)
-            .map(|mut r| {
+        result =
+            try_assign(trace, ag, tables, input, cfg, OrderingPolicy::PhysicalTime).map(|mut r| {
                 r.fallback = true;
                 r
             });
@@ -71,184 +119,200 @@ pub(crate) fn assign_phase_steps(
 fn try_assign(
     trace: &Trace,
     ag: &AtomGraph,
-    phase_of_event: &[u32],
-    input: &PhaseInput,
+    tables: EventTables<'_>,
+    input: &PhaseInput<'_>,
     cfg: &Config,
     ordering: OrderingPolicy,
 ) -> Result<PhaseResult, Vec<EventId>> {
-    // --- collect the phase's events, with a dense local numbering ---
+    // --- collect the phase's events, in local-id order: atom i's
+    // events hold local ids `start[i]..start[i + 1]` ---
     let mut events: Vec<EventId> = Vec::new();
-    for &a in &input.atoms {
+    let mut start: Vec<u32> = Vec::with_capacity(input.atoms.len() + 1);
+    for &a in input.atoms {
+        start.push(events.len() as u32);
         events.extend(ag.atoms[a as usize].events.iter().copied());
     }
+    start.push(events.len() as u32);
     if events.is_empty() {
         return Ok(PhaseResult { local: Vec::new(), max_local: 0, fallback: false });
     }
-    let local_of: HashMap<EventId, u32> =
-        events.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
+    let n = events.len();
+    let span = |i: u32| start[i as usize] as usize..start[i as usize + 1] as usize;
+    // Per receive, the local id of its matching send when that lies in
+    // the phase.
+    let send_of: Vec<u32> = events
+        .iter()
+        .map(|&e| match trace.event(e).kind {
+            EventKind::Recv { msg: Some(m) } => {
+                tables.local_in(input.id, trace.msg(m).send_event).unwrap_or(NO_LOCAL)
+            }
+            _ => NO_LOCAL,
+        })
+        .collect();
+
+    // --- lanes: one sort of (lane, atom) pairs makes each lane one
+    // run, lanes in ascending order. Atoms are named by their index in
+    // `input.atoms`, which grows with atom id; atom ids grow with task
+    // order and a task's atoms share its lane, so each task is one run
+    // inside its lane's run.
+    let atom = |i: u32| &ag.atoms[input.atoms[i as usize] as usize];
+    let mut order: Vec<(Lane, u32)> =
+        (0..input.atoms.len() as u32).map(|i| (atom(i).lane, i)).collect();
+    order.sort_unstable();
+    let mut lane_start: Vec<usize> =
+        (0..order.len()).filter(|&j| j == 0 || order[j].0 != order[j - 1].0).collect();
+    lane_start.push(order.len());
 
     // --- w clock (idealized forward replay), computed in time order ---
     let w = match ordering {
         OrderingPolicy::Reordered => {
-            Some(compute_w(trace, ag, phase_of_event, input, &events, &local_of, cfg.model))
+            // Phase-local group per event: its task (task-based) or its
+            // lane (message-passing), numbered by run.
+            let mut group = vec![0u32; n];
+            let mut groups = 0u32;
+            for (j, &(lane, i)) in order.iter().enumerate() {
+                let fresh = j == 0
+                    || match cfg.model {
+                        TraceModel::TaskBased => atom(i).task != atom(order[j - 1].1).task,
+                        TraceModel::MessagePassing => lane != order[j - 1].0,
+                    };
+                groups += u32::from(fresh);
+                group[span(i)].fill(groups - 1);
+            }
+            Some(compute_w(trace, &events, &send_of, &group, groups as usize, cfg.model))
         }
         OrderingPolicy::PhysicalTime => None,
     };
 
-    // --- order atoms within each lane ---
-    let mut lanes: HashMap<Lane, Vec<u32>> = HashMap::new();
-    for &a in &input.atoms {
-        lanes.entry(ag.atoms[a as usize].lane).or_default().push(a);
+    // Per-atom sort keys for the task-based reordered policy: one flat
+    // arena, atom i's key at `key_off[i]..key_off[i + 1]`.
+    let mut arena: Vec<(u64, u64)> = Vec::new();
+    let mut key_off: Vec<u32> = Vec::new();
+    if let (Some(w), TraceModel::TaskBased) = (&w, cfg.model) {
+        source_chain_keys(
+            trace,
+            ag,
+            tables,
+            input,
+            &start,
+            w,
+            &cfg.tiebreak,
+            &mut arena,
+            &mut key_off,
+        );
     }
-    let mut lane_keys: Vec<Lane> = lanes.keys().copied().collect();
-    lane_keys.sort_unstable();
+    let key = |i: u32| &arena[key_off[i as usize] as usize..key_off[i as usize + 1] as usize];
 
-    // Per-atom sort key for the reordered policy.
-    let atom_keys: Option<HashMap<u32, Vec<(u64, u64)>>> = w.as_ref().map(|w| {
-        input
-            .atoms
-            .iter()
-            .map(|&a| {
-                (
-                    a,
-                    source_chain_key(
-                        trace,
-                        ag,
-                        phase_of_event,
-                        input.id,
-                        w,
-                        &local_of,
-                        a,
-                        &cfg.tiebreak,
-                    ),
-                )
-            })
-            .collect()
-    });
-
-    let mut lane_orders: Vec<Vec<u32>> = Vec::with_capacity(lane_keys.len());
-    for lane in &lane_keys {
-        let mut atoms = lanes.remove(lane).expect("lane exists");
-        match (&atom_keys, cfg.model) {
-            (None, _) => {
-                atoms.sort_unstable_by_key(|&a| (ag.atoms[a as usize].first_time, a));
-            }
-            (Some(keys), TraceModel::TaskBased) => {
+    // --- order atoms within each lane ---
+    for run in lane_start.windows(2) {
+        let lane = &mut order[run[0]..run[1]];
+        match (&w, cfg.model) {
+            (None, _) => lane.sort_unstable_by_key(|&(_, i)| (atom(i).first_time, i)),
+            (Some(_), TraceModel::TaskBased) => {
                 // keys were built with cfg.tiebreak applied.
-                atoms.sort_by(|&x, &y| {
-                    keys[&x].cmp(&keys[&y]).then_with(|| {
-                        (ag.atoms[x as usize].first_time, x)
-                            .cmp(&(ag.atoms[y as usize].first_time, y))
-                    })
+                lane.sort_unstable_by(|&(_, x), &(_, y)| {
+                    key(x)
+                        .cmp(key(y))
+                        .then_with(|| (atom(x).first_time, x).cmp(&(atom(y).first_time, y)))
                 });
             }
-            (Some(_), TraceModel::MessagePassing) => {
+            (Some(w), TraceModel::MessagePassing) => {
                 // Sort blocks by the w of their (single) event; ties keep
                 // physical order, so sends never pass each other and
                 // receives never cross a send they precede.
-                let w = w.as_ref().expect("w computed");
-                atoms.sort_by_key(|&a| {
-                    let ev = ag.atoms[a as usize].events[0];
-                    let wv = w[local_of[&ev] as usize];
-                    (wv, ag.atoms[a as usize].first_time, a)
+                lane.sort_unstable_by_key(|&(_, i)| {
+                    (w[start[i as usize] as usize], atom(i).first_time, i)
                 });
             }
         }
-        lane_orders.push(atoms);
     }
 
-    // --- build the step-dependency graph over local event ids ---
-    let n = events.len();
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    // Lane chains in the chosen order.
-    for atoms in &lane_orders {
-        let mut prev: Option<u32> = None;
-        for &a in atoms {
-            for &e in &ag.atoms[a as usize].events {
-                let cur = local_of[&e];
-                if let Some(p) = prev {
-                    succs[p as usize].push(cur);
+    // --- the step-dependency graph over local event ids, as CSR ---
+    // Each node's successors: its lane-chain successor first, then
+    // the receives of its intra-phase messages in local-id order. The
+    // cycle witness follows this order, so it must stay fixed.
+    let mut chain_next = vec![NO_LOCAL; n];
+    for run in lane_start.windows(2) {
+        let mut prev = NO_LOCAL;
+        for &(_, i) in &order[run[0]..run[1]] {
+            for cur in span(i) {
+                if prev != NO_LOCAL {
+                    chain_next[prev as usize] = cur as u32;
                 }
-                prev = Some(cur);
+                prev = cur as u32;
             }
         }
     }
-    // Message edges within the phase, in local-id order: the cycle
-    // witness follows successor-list order, so it must not depend on
-    // a hash map's iteration order.
-    for (le, &e) in events.iter().enumerate() {
-        if let EventKind::Recv { msg: Some(m) } = trace.event(e).kind {
-            let send = trace.msg(m).send_event;
-            if phase_of_event[send.index()] == input.id {
-                if let Some(&ls) = local_of.get(&send) {
-                    succs[ls as usize].push(le as u32);
-                }
-            }
+    let mut msg_edges: Vec<(u32, u32)> = (0..n as u32)
+        .filter(|&le| send_of[le as usize] != NO_LOCAL)
+        .map(|le| (send_of[le as usize], le))
+        .collect();
+    msg_edges.sort_unstable();
+    let mut off: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut adj: Vec<u32> = Vec::with_capacity(n + msg_edges.len());
+    off.push(0);
+    let mut msgs = msg_edges.into_iter().peekable();
+    for (u, &next) in chain_next.iter().enumerate() {
+        if next != NO_LOCAL {
+            adj.push(next);
         }
+        while let Some((_, le)) = msgs.next_if(|&(ls, _)| ls as usize == u) {
+            adj.push(le);
+        }
+        off.push(adj.len() as u32);
     }
 
     // --- longest-path steps; Err(cycle witness) on a cycle ---
-    let steps = crate::graph::longest_path_levels(n, |u| &succs[u as usize])
-        .map_err(|cycle| cycle.into_iter().map(|le| events[le as usize]).collect::<Vec<_>>())?;
+    let steps = crate::graph::longest_path_levels(n, |u| {
+        &adj[off[u as usize] as usize..off[u as usize + 1] as usize]
+    })
+    .map_err(|cycle| cycle.into_iter().map(|le| events[le as usize]).collect::<Vec<_>>())?;
     let max_local = steps.iter().copied().max().map_or(0, u64::from);
     let local = events.iter().zip(&steps).map(|(&e, &s)| (e, u64::from(s))).collect();
     Ok(PhaseResult { local, max_local, fallback: false })
 }
 
-/// Computes the `w` clock for every event of the phase (§3.2.1).
+/// Computes the `w` clock for every event of the phase (§3.2.1),
+/// indexed by local id.
 ///
 /// Processing events in physical-time order makes this a single pass:
 /// every dependency (matching send; earlier event in the block; earlier
-/// receive on the process) was recorded earlier in time.
+/// receive on the process) was recorded earlier in time. `send_of`
+/// maps each receive to its intra-phase send ([`NO_LOCAL`] if none),
+/// and `group` each local id to its phase-local task (task-based
+/// model) or lane (message-passing model), `0..groups`.
 fn compute_w(
     trace: &Trace,
-    ag: &AtomGraph,
-    phase_of_event: &[u32],
-    input: &PhaseInput,
     events: &[EventId],
-    local_of: &HashMap<EventId, u32>,
+    send_of: &[u32],
+    group: &[u32],
+    groups: usize,
     model: TraceModel,
 ) -> Vec<u64> {
-    let mut order: Vec<EventId> = events.to_vec();
-    order.sort_unstable_by_key(|&e| (trace.event(e).time, e));
+    let mut order: Vec<(Time, EventId, u32)> =
+        events.iter().enumerate().map(|(l, &e)| (trace.event(e).time, e, l as u32)).collect();
+    order.sort_unstable();
     let mut w = vec![0u64; events.len()];
-    // Task-based: last w seen per task (fragment-aware via phase filter).
-    let mut last_in_task: HashMap<lsr_trace::TaskId, u64> = HashMap::new();
-    // Message-passing: max receive w seen so far per lane.
-    let mut max_recv_in_lane: HashMap<Lane, u64> = HashMap::new();
-    for e in order {
-        let le = local_of[&e] as usize;
+    // Per group, what the next send builds on: the last w seen in the
+    // task (task-based, fragment-aware via the phase filter), or the
+    // max receive w seen so far on the lane (message-passing).
+    let mut seen: Vec<Option<u64>> = vec![None; groups];
+    for (_, e, le) in order {
+        let (le, g) = (le as usize, group[le as usize] as usize);
         let ev = trace.event(e);
         let value = match ev.kind {
-            EventKind::Recv { msg } => {
-                let from_send = msg.and_then(|m| {
-                    let send = trace.msg(m).send_event;
-                    (phase_of_event[send.index()] == input.id)
-                        .then(|| local_of.get(&send).map(|&ls| w[ls as usize] + 1))
-                        .flatten()
-                });
-                from_send.unwrap_or(0)
-            }
-            EventKind::Send { .. } => match model {
-                TraceModel::TaskBased => last_in_task.get(&ev.task).map_or(0, |&prev| prev + 1),
-                TraceModel::MessagePassing => {
-                    let lane = ag.atoms[ag.atom_of_event[e.index()] as usize].lane;
-                    max_recv_in_lane.get(&lane).map_or(0, |&m| m + 1)
-                }
+            EventKind::Recv { .. } => match send_of[le] {
+                NO_LOCAL => 0,
+                ls => w[ls as usize] + 1,
             },
+            EventKind::Send { .. } => seen[g].map_or(0, |prev| prev + 1),
         };
         w[le] = value;
         match model {
-            TraceModel::TaskBased => {
-                last_in_task.insert(ev.task, value);
-            }
+            TraceModel::TaskBased => seen[g] = Some(value),
             TraceModel::MessagePassing => {
                 if ev.is_sink() {
-                    let lane = ag.atoms[ag.atom_of_event[e.index()] as usize].lane;
-                    max_recv_in_lane
-                        .entry(lane)
-                        .and_modify(|m| *m = (*m).max(value))
-                        .or_insert(value);
+                    seen[g] = Some(seen[g].map_or(value, |m| m.max(value)));
                 }
             }
         }
@@ -256,57 +320,62 @@ fn compute_w(
     w
 }
 
-/// The (w, invoking chare) chain of an atom and its source ancestors,
-/// used as the lexicographic sort key for the reordered policy: first
-/// compare the block's initial w, then the invoker's chare id, then
-/// "go back a step" through source blocks (§3.2.1, Fig. 7).
+/// The (w, invoking chare) chain of every atom of the phase and its
+/// source ancestors, used as the lexicographic sort key for the
+/// reordered policy: first compare the block's initial w, then the
+/// chare that invoked it (the sender of its sink message, or its own
+/// chare for a spontaneous block), then "go back a step" through
+/// source blocks (§3.2.1, Fig. 7). Atom i's key is appended to `arena`
+/// as `key_off[i]..key_off[i + 1]`; its first event has local id
+/// `start[i]`.
 #[allow(clippy::too_many_arguments)]
-fn source_chain_key(
+fn source_chain_keys(
     trace: &Trace,
     ag: &AtomGraph,
-    phase_of_event: &[u32],
-    phase: u32,
+    tables: EventTables<'_>,
+    input: &PhaseInput<'_>,
+    start: &[u32],
     w: &[u64],
-    local_of: &HashMap<EventId, u32>,
-    atom: u32,
     tiebreak: &crate::config::TieBreak,
-) -> Vec<(u64, u64)> {
-    let mut key = Vec::with_capacity(2);
-    let mut current = atom;
-    for _ in 0..SOURCE_CHAIN_DEPTH {
-        let a = &ag.atoms[current as usize];
-        let first = a.events[0];
-        let w_init = local_of.get(&first).map_or(0, |&l| w[l as usize]);
-        let invoker = invoking_chare(trace, a.chare, first);
-        key.push((w_init, tiebreak.key(invoker)));
-        // Step back to the source block (the atom holding the matching
-        // send of this block's sink), staying within the phase.
-        let next = match trace.event(first).kind {
-            EventKind::Recv { msg: Some(m) } => {
-                let send = trace.msg(m).send_event;
-                (phase_of_event[send.index()] == phase)
-                    .then(|| ag.atom_of_event[send.index()])
-                    .filter(|&s| s != current)
+    arena: &mut Vec<(u64, u64)>,
+    key_off: &mut Vec<u32>,
+) {
+    // One link per atom: its own (w, invoker) head and its source block
+    // (the atom holding the matching send of its sink) when that lies
+    // in the phase, as an index into `input.atoms`.
+    let (head, source): (Vec<(u64, u64)>, Vec<u32>) = input
+        .atoms
+        .iter()
+        .zip(start)
+        .map(|(&a, &first_local)| {
+            let atom = &ag.atoms[a as usize];
+            let (invoker, source) = match trace.event(atom.events[0]).kind {
+                EventKind::Recv { msg: Some(m) } => {
+                    let send = trace.msg(m).send_event;
+                    let source = (tables.phase_of_event[send.index()] == input.id)
+                        .then(|| ag.atom_of_event[send.index()])
+                        .filter(|&s| s != a)
+                        .and_then(|s| input.atoms.binary_search(&s).ok());
+                    (trace.task(trace.event(send).task).chare, source)
+                }
+                _ => (atom.chare, None),
+            };
+            let head = (w[first_local as usize], tiebreak.key(invoker));
+            (head, source.map_or(NO_LOCAL, |i| i as u32))
+        })
+        .unzip();
+    key_off.reserve(head.len() + 1);
+    key_off.push(0);
+    for i in 0..head.len() {
+        let mut current = i;
+        for _ in 0..SOURCE_CHAIN_DEPTH {
+            arena.push(head[current]);
+            match source[current] {
+                NO_LOCAL => break,
+                s => current = s as usize,
             }
-            _ => None,
-        };
-        match next {
-            Some(s) => current = s,
-            None => break,
         }
-    }
-    key
-}
-
-/// The chare that invoked a serial block: the sender of its sink
-/// message, or the block's own chare for spontaneous blocks.
-fn invoking_chare(trace: &Trace, own: ChareId, first: EventId) -> ChareId {
-    match trace.event(first).kind {
-        EventKind::Recv { msg: Some(m) } => {
-            let sender_task = trace.event(trace.msg(m).send_event).task;
-            trace.task(sender_task).chare
-        }
-        _ => own,
+        key_off.push(arena.len() as u32);
     }
 }
 
@@ -315,6 +384,7 @@ mod tests {
     use super::*;
     use crate::atoms::build_atoms;
     use lsr_trace::{Kind, PeId, Time, TraceBuilder};
+    use std::collections::HashMap;
 
     /// Build a one-phase scenario: two producers (c0, c1) each send one
     /// message to consumer c2, whose executions land in scrambled
@@ -343,17 +413,18 @@ mod tests {
         (tr, ag)
     }
 
-    fn one_phase(ag: &AtomGraph) -> (Vec<u32>, PhaseInput) {
+    /// Steps every atom of `ag` as one phase 0.
+    fn step_all(tr: &Trace, ag: &AtomGraph, cfg: &Config) -> PhaseResult {
         let atoms: Vec<u32> = (0..ag.atoms.len() as u32).collect();
-        let phase_of_event = vec![0u32; ag.atom_of_event.len()];
-        (phase_of_event, PhaseInput { id: 0, atoms })
+        let (phase_of_event, local_idx) = index_events(ag, &vec![0; atoms.len()], 1);
+        let tables = EventTables { phase_of_event: &phase_of_event, local_idx: &local_idx };
+        assign_phase_steps(tr, ag, tables, &PhaseInput { id: 0, atoms: &atoms }, cfg).unwrap()
     }
 
     #[test]
     fn receive_steps_exceed_matching_send() {
         let (tr, ag) = fan_in();
-        let (poe, input) = one_phase(&ag);
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &Config::charm()).unwrap();
+        let r = step_all(&tr, &ag, &Config::charm());
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         for m in &tr.msgs {
             let send = m.send_event;
@@ -372,8 +443,7 @@ mod tests {
     #[test]
     fn reorder_sorts_receives_by_sender_w_then_chare() {
         let (tr, ag) = fan_in();
-        let (poe, input) = one_phase(&ag);
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &Config::charm()).unwrap();
+        let r = step_all(&tr, &ag, &Config::charm());
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         // Both sends have w=0; the tie is broken by sender chare id, so
         // c2's receive of c0's message is ordered before c1's message
@@ -391,9 +461,8 @@ mod tests {
         // Give c1 a smaller topology rank than c0: the tie now resolves
         // the other way around than the chare-id default.
         let (tr, ag) = fan_in();
-        let (poe, input) = one_phase(&ag);
         let cfg = Config::charm().with_topology(vec![10, 5, 99]);
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &cfg).unwrap();
+        let r = step_all(&tr, &ag, &cfg);
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         let sink_r0 = tr.tasks[3].sink.unwrap(); // from c0 (rank 10)
         let sink_r1 = tr.tasks[2].sink.unwrap(); // from c1 (rank 5)
@@ -406,9 +475,8 @@ mod tests {
     #[test]
     fn physical_policy_keeps_recorded_order() {
         let (tr, ag) = fan_in();
-        let (poe, input) = one_phase(&ag);
         let cfg = Config::charm().with_ordering(OrderingPolicy::PhysicalTime);
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &cfg).unwrap();
+        let r = step_all(&tr, &ag, &cfg);
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         let sink_r0 = tr.tasks[3].sink.unwrap();
         let sink_r1 = tr.tasks[2].sink.unwrap();
@@ -418,9 +486,10 @@ mod tests {
     #[test]
     fn empty_phase_is_fine() {
         let (tr, ag) = fan_in();
-        let poe = vec![0u32; ag.atom_of_event.len()];
-        let input = PhaseInput { id: 0, atoms: Vec::new() };
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &Config::charm()).unwrap();
+        let (phase_of_event, local_idx) = index_events(&ag, &vec![0; ag.atoms.len()], 1);
+        let tables = EventTables { phase_of_event: &phase_of_event, local_idx: &local_idx };
+        let input = PhaseInput { id: 0, atoms: &[] };
+        let r = assign_phase_steps(&tr, &ag, tables, &input, &Config::charm()).unwrap();
         assert!(r.local.is_empty());
         assert_eq!(r.max_local, 0);
     }
@@ -461,11 +530,7 @@ mod tests {
         let ix = tr.index();
         let cfg = Config::mpi();
         let ag = build_atoms(&tr, &ix, &cfg);
-        let (poe, input) = {
-            let atoms: Vec<u32> = (0..ag.atoms.len() as u32).collect();
-            (vec![0u32; ag.atom_of_event.len()], PhaseInput { id: 0, atoms })
-        };
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &cfg).unwrap();
+        let r = step_all(&tr, &ag, &cfg);
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         // r3's send must come after both its receives.
         let send_ev = tr.tasks[4].sends[0];
@@ -523,10 +588,7 @@ mod tests {
         let ix = tr.index();
         let cfg = Config::mpi().with_process_order(false);
         let ag = build_atoms(&tr, &ix, &cfg);
-        let atoms: Vec<u32> = (0..ag.atoms.len() as u32).collect();
-        let poe = vec![0u32; ag.atom_of_event.len()];
-        let input = PhaseInput { id: 0, atoms };
-        let r = assign_phase_steps(&tr, &ag, &poe, &input, &cfg).unwrap();
+        let r = step_all(&tr, &ag, &cfg);
         let steps: HashMap<EventId, u64> = r.local.iter().copied().collect();
         let step_of = |t: lsr_trace::TaskId| steps[&tr.task(t).sink.unwrap()];
         let send_step = steps[&tr.task(t5s).sends[0]];
@@ -545,16 +607,22 @@ mod tests {
     #[test]
     fn w_values_follow_replay_rules() {
         let (tr, ag) = fan_in();
-        let (poe, input) = one_phase(&ag);
-        let events: Vec<EventId> =
-            input.atoms.iter().flat_map(|&a| ag.atoms[a as usize].events.clone()).collect();
-        let local_of: HashMap<EventId, u32> =
-            events.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
-        let w = compute_w(&tr, &ag, &poe, &input, &events, &local_of, TraceModel::TaskBased);
+        let (_, local_idx) = index_events(&ag, &vec![0; ag.atoms.len()], 1);
+        let events: Vec<EventId> = ag.atoms.iter().flat_map(|a| a.events.clone()).collect();
+        let send_of: Vec<u32> = events
+            .iter()
+            .map(|&e| match tr.event(e).kind {
+                EventKind::Recv { msg: Some(m) } => local_idx[tr.msg(m).send_event.index()],
+                _ => NO_LOCAL,
+            })
+            .collect();
+        // One group per task (task-based model).
+        let group: Vec<u32> = events.iter().map(|&e| tr.event(e).task.0).collect();
+        let w = compute_w(&tr, &events, &send_of, &group, tr.tasks.len(), TraceModel::TaskBased);
         // Initial sends have w = 0; their receives w = 1.
         for m in &tr.msgs {
-            let send = local_of[&m.send_event] as usize;
-            let sink = local_of[&tr.task(m.recv_task.unwrap()).sink.unwrap()] as usize;
+            let send = local_idx[m.send_event.index()] as usize;
+            let sink = local_idx[tr.task(m.recv_task.unwrap()).sink.unwrap().index()] as usize;
             assert_eq!(w[send], 0);
             assert_eq!(w[sink], 1);
         }

@@ -140,6 +140,53 @@ fn a002_out_of_range_task_id() {
     assert!(codes(&report).contains(&"A002"), "got {:?}", codes(&report));
 }
 
+/// Plants a `rule` record at the head of lulesh-charm's log — the
+/// preset whose certificate exercises both the repair and the
+/// neighbor-serial rules — pairing the anchor of the log's first real
+/// `rule` record with a task of another entry type. At the head every
+/// replayed partition is still one task, so the two partitions' entry
+/// sets are disjoint. Returns the A002 messages.
+fn planted_entry_mismatch(rule: ProvenanceRule) -> Vec<String> {
+    let cfg = Config::charm();
+    let tr = lsr_apps::lulesh_charm(&lsr_apps::LuleshParams::fig16_charm());
+    let (ls, mut prov) = try_extract_with_provenance(&tr, &cfg).expect("lulesh-charm extracts");
+    let a = prov
+        .records
+        .iter()
+        .find(|r| r.rule == rule)
+        .unwrap_or_else(|| panic!("lulesh-charm's log holds a {} record", rule.name()))
+        .a;
+    let b = tr
+        .tasks
+        .iter()
+        .find(|t| t.entry != tr.task(a).entry)
+        .expect("lulesh-charm has more than one entry type")
+        .id;
+    prov.records.insert(0, MergeRecord { rule, a, b, timed: false });
+    let report = audit(&tr, &cfg, &prov, &ls, AuditOptions::default());
+    assert!(!report.is_certified());
+    report.diagnostics.iter().filter(|d| d.code == "A002").map(|d| d.message.clone()).collect()
+}
+
+#[test]
+fn a002_repair_merge_without_matching_entry() {
+    let msgs = planted_entry_mismatch(ProvenanceRule::RepairMerge);
+    // Only the planted record: a union only grows entry sets, so the
+    // real records after it still hold.
+    assert_eq!(msgs.len(), 1, "got {msgs:?}");
+    assert!(msgs[0].starts_with("record 0: repair-merge precondition fails"), "got {msgs:?}");
+}
+
+#[test]
+fn a002_neighbor_serial_merge_with_disjoint_entries() {
+    let msgs = planted_entry_mismatch(ProvenanceRule::NeighborSerialMerge);
+    assert_eq!(msgs.len(), 1, "got {msgs:?}");
+    assert!(
+        msgs[0].starts_with("record 0: neighbor-serial-merge precondition fails"),
+        "got {msgs:?}"
+    );
+}
+
 #[test]
 fn a003_union_without_shared_phase() {
     let (tr, cfg, ls, mut prov) = substrate();

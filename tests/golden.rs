@@ -3,13 +3,31 @@
 //! The invariant checks (`verify`) catch *inconsistent* structures;
 //! these tests catch *silently different but consistent* ones — a
 //! pipeline change that shifts phase boundaries or step assignments
-//! without breaking any invariant. The proxies use fixed seeds, so
+//! without breaking any invariant. Counts alone would let a consistent
+//! reordering through, so each snapshot also pins an FNV-1a-64 digest
+//! of the whole per-event and per-task assignment. The proxies use fixed seeds, so
 //! these values are fully deterministic; if you change the pipeline or
 //! the simulators deliberately, re-derive the constants and say so in
 //! the commit.
 
 use lsr_apps::*;
-use lsr_core::{extract, Config};
+use lsr_core::{extract, Config, LogicalStructure};
+
+/// FNV-1a-64 over `phase_of_event`, `local_step`, `step` and
+/// `task_phase`, in that order, each value as little-endian bytes.
+fn assignment_digest(ls: &LogicalStructure) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    ls.phase_of_event.iter().for_each(|v| feed(&v.to_le_bytes()));
+    ls.local_step.iter().for_each(|v| feed(&v.to_le_bytes()));
+    ls.step.iter().for_each(|v| feed(&v.to_le_bytes()));
+    ls.task_phase.iter().for_each(|v| feed(&v.to_le_bytes()));
+    h
+}
 
 struct Golden {
     name: &'static str,
@@ -18,6 +36,7 @@ struct Golden {
     steps: u64,
     tasks: usize,
     msgs: usize,
+    digest: u64,
 }
 
 fn check(g: &Golden, trace: &lsr_trace::Trace, cfg: &Config) {
@@ -30,6 +49,7 @@ fn check(g: &Golden, trace: &lsr_trace::Trace, cfg: &Config) {
         steps: ls.max_step() + 1,
         tasks: trace.tasks.len(),
         msgs: trace.msgs.len(),
+        digest: assignment_digest(&ls),
     };
     assert_eq!(
         (got.phases, got.app_phases, got.steps, got.tasks, got.msgs),
@@ -37,6 +57,11 @@ fn check(g: &Golden, trace: &lsr_trace::Trace, cfg: &Config) {
         "{}: structure drifted from the golden snapshot \
          (phases, app, steps, tasks, msgs)",
         g.name
+    );
+    assert_eq!(
+        got.digest, g.digest,
+        "{}: step assignment drifted from the golden snapshot (digest {:#018x})",
+        g.name, got.digest
     );
 }
 
@@ -51,6 +76,7 @@ fn jacobi_fig15_structure_is_stable() {
             steps: 70,
             tasks: 265,
             msgs: 249,
+            digest: 0xf7fb_2ecf_822e_503c,
         },
         &trace,
         &Config::charm(),
@@ -68,6 +94,7 @@ fn lulesh_charm_structure_is_stable() {
             steps: 57,
             tasks: 195,
             msgs: 171,
+            digest: 0x2cdf_b3e0_daee_ee9c,
         },
         &trace,
         &Config::charm(),
@@ -85,6 +112,7 @@ fn lulesh_mpi_structure_is_stable() {
             steps: 78,
             tasks: 420,
             msgs: 210,
+            digest: 0xbe0b_dfb4_1b37_1bcd,
         },
         &trace,
         &Config::mpi(),
@@ -95,7 +123,15 @@ fn lulesh_mpi_structure_is_stable() {
 fn divcon_structure_is_stable() {
     let trace = divcon_charm(&DivConParams::small());
     check(
-        &Golden { name: "divcon", phases: 1, app_phases: 1, steps: 20, tasks: 61, msgs: 60 },
+        &Golden {
+            name: "divcon",
+            phases: 1,
+            app_phases: 1,
+            steps: 20,
+            tasks: 61,
+            msgs: 60,
+            digest: 0x2ba0_4b21_d8b9_82b5,
+        },
         &trace,
         &Config::charm(),
     );
@@ -111,6 +147,11 @@ fn mergetree_structure_is_stable() {
     // under reordering.
     assert_eq!(trace.msgs.len(), 31);
     assert!(ls.max_step() + 1 >= 10);
+    let digest = assignment_digest(&ls);
+    assert_eq!(
+        digest, 0xb7cb_f2e2_035a_8aa5,
+        "mergetree: step assignment drifted (digest {digest:#018x})"
+    );
 }
 
 /// Scrubs the volatile tokens out of a profile report: anything that
