@@ -1,8 +1,9 @@
 //! Criterion benches for the simulators and individual pipeline costs:
-//! trace generation, metric computation, and serialization round trips.
+//! trace generation, metric computation, report rendering, and
+//! serialization round trips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lsr_apps::{jacobi2d, lassen_charm, JacobiParams, LassenParams};
+use lsr_apps::{jacobi2d, lassen_charm, lulesh_charm, JacobiParams, LassenParams, LuleshParams};
 use lsr_core::{extract, Config};
 use lsr_metrics::{idle_experienced, DifferentialDuration, Imbalance};
 
@@ -31,6 +32,26 @@ fn bench_metrics(c: &mut Criterion) {
     });
     group.bench_function("imbalance", |b| {
         b.iter(|| Imbalance::compute(&trace, &ls));
+    });
+    group.finish();
+}
+
+/// `lsr report`'s render path on fig19-scale LULESH (216 chares, 8
+/// iterations): the whole HTML document and its two SVG views alone.
+fn bench_render(c: &mut Criterion) {
+    let mut group = c.benchmark_group("render");
+    group.sample_size(10);
+    let trace = lulesh_charm(&LuleshParams::scaling(6, 8));
+    let ls = extract(&trace, &Config::charm());
+    let coloring = lsr_render::Coloring::Phase;
+    group.bench_function("html_report", |b| {
+        b.iter(|| lsr_render::html_report("lulesh", &trace, &ls));
+    });
+    group.bench_function("logical_svg", |b| {
+        b.iter(|| lsr_render::logical_svg(&trace, &ls, &coloring));
+    });
+    group.bench_function("physical_svg", |b| {
+        b.iter(|| lsr_render::physical_svg(&trace, &ls, &coloring));
     });
     group.finish();
 }
@@ -73,5 +94,12 @@ fn bench_logfmt(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulators, bench_metrics, bench_storage_and_diff, bench_logfmt);
+criterion_group!(
+    benches,
+    bench_simulators,
+    bench_metrics,
+    bench_render,
+    bench_storage_and_diff,
+    bench_logfmt
+);
 criterion_main!(benches);

@@ -4,6 +4,11 @@
 //! with the §3.1.4 merge dominating the added time at high counts; we
 //! report the same series and the log-log exponent.
 //!
+//! The extraction time is the best of 5 plain extractions, each
+//! alternating with one under `Config::verify_invariants`, and the
+//! verify-on run must stay within 2× of the plain one (best against
+//! best), the "small constant factor" that option promises.
+//!
 //! It also gates the certificate check's scaling: `lsr-audit`'s replay
 //! must cost about the same per provenance record at every chare
 //! count (best of 3 audits per size; 12³ within 2× of 6³). Each size's
@@ -16,10 +21,28 @@ use lsr_bench::{banner, full_scale, loglog_slope, secs, timed, write_artifact};
 use lsr_core::{extract, try_extract_with_provenance, Config, LogicalStructure, MergeProvenance};
 use lsr_obs::{Profile, Recorder};
 use lsr_trace::Trace;
+use std::time::Duration;
 
 /// Largest allowed ratio of the 12³ audit check cost per record to the
 /// 6³ one: the replay's per-record cost must not grow with phase size.
 const AUDIT_SCALING_BOUND: f64 = 2.0;
+
+/// Largest allowed ratio of a verify-on extraction (the promoted
+/// assertions plus the final `StructureVerifier` pass) to a plain one.
+const VERIFY_OVERHEAD_BOUND: f64 = 2.0;
+
+/// Best of 5 plain and of 5 verify-on extractions of `trace`,
+/// alternating, so a noisy stretch of machine time hits both sides of
+/// the ratio: `(plain, verify_on)`.
+fn extraction_times(trace: &Trace) -> (Duration, Duration) {
+    (0..5)
+        .map(|_| {
+            let (_, plain) = timed(|| extract(trace, &Config::charm()));
+            let (_, verify) = timed(|| extract(trace, &Config::charm().with_verify(true)));
+            (plain, verify)
+        })
+        .fold((Duration::MAX, Duration::MAX), |(p, v), (x, y)| (p.min(x), v.min(y)))
+}
 
 /// Fraction of the `extract` span spent in the §3.1.4 stages: source
 /// inference, leap resolution and DAG enforcement.
@@ -91,12 +114,9 @@ fn main() {
         let chares = side * side * side;
         let trace = lulesh_charm(&LuleshParams::scaling(side, 8));
         let rec = Recorder::enabled();
-        let (ls, dt) = timed(|| extract(&trace, &Config::charm().with_recorder(rec.clone())));
+        let ls = extract(&trace, &Config::charm().with_recorder(rec.clone()));
         ls.verify(&trace).expect("invariants");
-        // The same extraction with Config::verify_invariants: the
-        // promoted assertions plus the final StructureVerifier pass.
-        // Its cost must stay a small constant factor.
-        let (_, dt_verify) = timed(|| extract(&trace, &Config::charm().with_verify(true)));
+        let (dt, dt_verify) = extraction_times(&trace);
         let overhead = dt_verify.as_secs_f64() / dt.as_secs_f64().max(1e-12) - 1.0;
         worst_overhead = worst_overhead.max(overhead);
         // "The amount of time performing the merge of Section 3.1.4
@@ -133,7 +153,11 @@ fn main() {
         points.push((chares as f64, dt.as_secs_f64()));
         leap_shares.push(leap_share);
     }
-    println!("verify-on worst-case overhead: {:+.1}% (target: <= 15%)", worst_overhead * 100.0);
+    println!(
+        "verify-on worst-case overhead: {:+.1}% (best of 5 each, alternating; bound: \
+         verify-on <= {VERIFY_OVERHEAD_BOUND}× plain)",
+        worst_overhead * 100.0
+    );
     println!(
         "§3.1.4 share of pipeline time: {:.1}% at the smallest count, {:.1}% at the largest \
          (the paper's implementation saw this stage dominate; ours keeps it bounded)",
@@ -146,6 +170,12 @@ fn main() {
          chare counts, dominated by the §3.1.4 merge)"
     );
     write_artifact("fig19_scaling_chares.csv", &csv);
+
+    assert!(
+        1.0 + worst_overhead <= VERIFY_OVERHEAD_BOUND,
+        "verify-on extraction costs {:.2}× a plain one (bound {VERIFY_OVERHEAD_BOUND}×)",
+        1.0 + worst_overhead
+    );
 
     let ratio = audit_ratio_12.expect("12³ is in every sweep");
     println!(

@@ -5,7 +5,9 @@
 //! share a per-PE timeline drawn at the bottom.
 
 use lsr_trace::{ChareId, Lane, PeId, Trace};
-use std::collections::HashMap;
+
+/// Marks a lane absent from [`Layout`]'s dense row tables.
+const NO_ROW: u32 = u32::MAX;
 
 /// The vertical arrangement of timelines for a trace.
 #[derive(Debug, Clone)]
@@ -16,7 +18,10 @@ pub struct Layout {
     pub labels: Vec<String>,
     /// Index of the first runtime lane (== `lanes.len()` if none).
     pub runtime_start: usize,
-    lane_of: HashMap<Lane, usize>,
+    /// Display row per chare id, `NO_ROW` for chares without a lane.
+    chare_row: Vec<u32>,
+    /// Display row of each PE's runtime lane, `NO_ROW` if it has none.
+    pe_row: Vec<u32>,
 }
 
 impl Layout {
@@ -25,18 +30,18 @@ impl Layout {
     pub fn new(trace: &Trace) -> Layout {
         let mut app: Vec<(u32, u32, ChareId)> = Vec::new(); // (array, index, chare)
         let mut runtime_pes: Vec<PeId> = Vec::new();
-        let mut seen_app = std::collections::HashSet::new();
-        let mut seen_rt = std::collections::HashSet::new();
+        let mut seen_app = vec![false; trace.chares.len()];
+        let mut seen_rt = vec![false; trace.pe_count as usize];
         for t in &trace.tasks {
             match trace.task_lane(t.id) {
                 Lane::Chare(c) => {
-                    let info = trace.chare(c);
-                    if seen_app.insert(c) {
+                    if !std::mem::replace(&mut seen_app[c.index()], true) {
+                        let info = trace.chare(c);
                         app.push((info.array.0, info.index, c));
                     }
                 }
                 Lane::RuntimePe(pe) => {
-                    if seen_rt.insert(pe) {
+                    if !std::mem::replace(&mut seen_rt[pe.index()], true) {
                         runtime_pes.push(pe);
                     }
                 }
@@ -44,19 +49,22 @@ impl Layout {
         }
         app.sort_unstable();
         runtime_pes.sort_unstable();
-        let mut lanes = Vec::new();
-        let mut labels = Vec::new();
+        let mut lanes = Vec::with_capacity(app.len() + runtime_pes.len());
+        let mut labels = Vec::with_capacity(lanes.capacity());
+        let mut chare_row = vec![NO_ROW; trace.chares.len()];
+        let mut pe_row = vec![NO_ROW; trace.pe_count as usize];
         for (arr, idx, chare) in app {
+            chare_row[chare.index()] = lanes.len() as u32;
             lanes.push(Lane::Chare(chare));
             labels.push(format!("{}[{}]", trace.array(lsr_trace::ArrayId(arr)).name, idx));
         }
         let runtime_start = lanes.len();
         for pe in runtime_pes {
+            pe_row[pe.index()] = lanes.len() as u32;
             lanes.push(Lane::RuntimePe(pe));
             labels.push(format!("rt@{pe}"));
         }
-        let lane_of = lanes.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        Layout { lanes, labels, runtime_start, lane_of }
+        Layout { lanes, labels, runtime_start, chare_row, pe_row }
     }
 
     /// Number of lanes.
@@ -70,8 +78,17 @@ impl Layout {
     }
 
     /// The display row of a lane.
+    ///
+    /// # Panics
+    ///
+    /// If the lane carries no task of the trace the layout was built for.
     pub fn row(&self, lane: Lane) -> usize {
-        self.lane_of[&lane]
+        let row = match lane {
+            Lane::Chare(c) => self.chare_row[c.index()],
+            Lane::RuntimePe(pe) => self.pe_row[pe.index()],
+        };
+        assert!(row != NO_ROW, "lane {lane:?} carries no task of this layout's trace");
+        row as usize
     }
 
     /// The widest label (for column alignment).

@@ -2,11 +2,12 @@
 //! SVG, and metric tables — the artifact a performance analyst would
 //! pass around.
 
-use crate::svg::{logical_svg, physical_svg, Coloring};
+use crate::layout::Layout;
+use crate::svg::{write_logical, write_physical, Coloring};
 use lsr_core::LogicalStructure;
 use lsr_metrics::{idle_experienced, per_pe_totals, CriticalPath, DifferentialDuration, Imbalance};
 use lsr_trace::{QualityReport, Trace, TraceStats};
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Escapes text for embedding into HTML.
 fn esc(s: &str) -> String {
@@ -16,6 +17,22 @@ fn esc(s: &str) -> String {
 /// Builds a single-file HTML report for a trace and its recovered
 /// structure. Everything (SVGs, tables) is inlined; no external assets.
 pub fn html_report(title: &str, trace: &Trace, ls: &LogicalStructure) -> String {
+    // Three views at 110–125 bytes per task rect: reserving them once
+    // spares regrowing (and copying) a buffer of tens of megabytes.
+    let mut h = String::with_capacity(3 * 128 * trace.tasks.len() + 64 * 1024);
+    write_html_report(&mut h, title, trace, ls).expect("writing into a String cannot fail");
+    h
+}
+
+/// [`html_report`] into a sink: the three views are written straight
+/// into `h`, on one shared [`Layout`], so a caller that streams to a
+/// file never holds the whole document.
+pub fn write_html_report(
+    h: &mut impl Write,
+    title: &str,
+    trace: &Trace,
+    ls: &LogicalStructure,
+) -> fmt::Result {
     let stats = TraceStats::compute(trace);
     let quality = QualityReport::analyze(trace);
     let idle = idle_experienced(trace);
@@ -25,8 +42,7 @@ pub fn html_report(title: &str, trace: &Trace, ls: &LogicalStructure) -> String 
     let cp = CriticalPath::compute(trace);
     let dd_values: Vec<f64> = dd.per_event.iter().map(|d| d.nanos() as f64).collect();
 
-    let mut h = String::with_capacity(64 * 1024);
-    let _ = write!(
+    write!(
         h,
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
          <title>{t}</title>\n<style>\n\
@@ -39,80 +55,73 @@ pub fn html_report(title: &str, trace: &Trace, ls: &LogicalStructure) -> String 
          .svgbox{{border:1px solid #ccc;overflow-x:auto;margin:0.5em 0}}\n\
          </style></head><body>\n<h1>{t}</h1>\n",
         t = esc(title)
-    );
+    )?;
 
     // Summary.
-    let _ = writeln!(
+    writeln!(
         h,
         "<h2>Trace</h2><pre>{}</pre><pre>{}</pre>",
         esc(&stats.to_string()),
         esc(&quality.to_string())
-    );
+    )?;
 
     // Structure.
-    let _ = writeln!(h, "<h2>Logical structure</h2><pre>{}</pre>", esc(&ls.summary(trace)));
-    let _ = writeln!(
+    writeln!(h, "<h2>Logical structure</h2><pre>{}</pre>", esc(&ls.summary(trace)))?;
+    writeln!(
         h,
         "<h3>Per-phase profile</h3><pre>{}</pre>",
         esc(&lsr_metrics::profile_table(trace, ls))
-    );
-    let _ = writeln!(
-        h,
-        "<h3>Logical time (colored by phase)</h3><div class=\"svgbox\">{}</div>",
-        logical_svg(trace, ls, &Coloring::Phase)
-    );
-    let _ = writeln!(
-        h,
-        "<h3>Physical time (colored by phase)</h3><div class=\"svgbox\">{}</div>",
-        physical_svg(trace, ls, &Coloring::Phase)
-    );
-    let _ = writeln!(
-        h,
-        "<h3>Logical time (differential duration)</h3><div class=\"svgbox\">{}</div>",
-        logical_svg(trace, ls, &Coloring::Metric(dd_values))
-    );
+    )?;
+    let layout = Layout::new(trace);
+    h.write_str("<h3>Logical time (colored by phase)</h3><div class=\"svgbox\">")?;
+    write_logical(h, trace, ls, &layout, &Coloring::Phase)?;
+    h.write_str("</div>\n<h3>Physical time (colored by phase)</h3><div class=\"svgbox\">")?;
+    write_physical(h, trace, ls, &layout, &Coloring::Phase)?;
+    h.write_str("</div>\n<h3>Logical time (differential duration)</h3><div class=\"svgbox\">")?;
+    write_logical(h, trace, ls, &layout, &Coloring::Metric(dd_values))?;
+    h.write_str("</div>\n")?;
 
     // Metrics tables.
-    h.push_str(
+    h.write_str(
         "<h2>Metrics</h2>\n<h3>Idle experienced per PE</h3><table>\
                 <tr><th>PE</th><th>idle experienced</th></tr>\n",
-    );
+    )?;
     for (pe, d) in idle_totals.iter().enumerate() {
-        let _ = writeln!(h, "<tr><td>pe{pe}</td><td>{d}</td></tr>");
+        writeln!(h, "<tr><td>pe{pe}</td><td>{d}</td></tr>")?;
     }
-    h.push_str("</table>\n");
+    h.write_str("</table>\n")?;
 
-    h.push_str(
+    h.write_str(
         "<h3>Top differential durations</h3><table>\
          <tr><th>event</th><th>step</th><th>chare</th><th>excess</th></tr>\n",
-    );
+    )?;
     for (e, d) in dd.outliers(lsr_trace::Dur(1)).into_iter().take(12) {
         let c = trace.chare(trace.event_chare(e));
-        let _ = writeln!(
+        writeln!(
             h,
             "<tr><td>{e}</td><td>{}</td><td>{}[{}]</td><td>{d}</td></tr>",
             ls.global_step(e),
             esc(&trace.array(c.array).name),
             c.index
-        );
+        )?;
     }
-    h.push_str("</table>\n");
+    h.write_str("</table>\n")?;
 
-    h.push_str(
+    h.write_str(
         "<h3>Imbalance per phase</h3><table>\
          <tr><th>phase</th><th>kind</th><th>leap</th><th>max − min load</th></tr>\n",
-    );
+    )?;
     for &p in &ls.phases_by_offset() {
         let ph = &ls.phases[p as usize];
-        let _ = writeln!(
+        writeln!(
             h,
             "<tr><td>{p}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             if ph.is_runtime { "runtime" } else { "app" },
             ph.leap,
             imb.per_phase[p as usize]
-        );
+        )?;
     }
-    let _ = write!(
+    write!(
         h,
         "</table>\n<p>overall PE imbalance: <b>{}</b>; critical path: {} tasks, \
          {} work over {} makespan (ratio {:.2}).</p>\n",
@@ -121,10 +130,9 @@ pub fn html_report(title: &str, trace: &Trace, ls: &LogicalStructure) -> String 
         cp.work,
         cp.makespan,
         cp.work_ratio()
-    );
+    )?;
 
-    h.push_str("</body></html>\n");
-    h
+    h.write_str("</body></html>\n")
 }
 
 #[cfg(test)]

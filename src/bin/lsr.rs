@@ -775,15 +775,46 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let _sp = obs.rec.span("verify");
         ls.verify(&trace).map_err(|e| format!("internal invariant violated: {e}"))?;
     }
-    let html = {
-        let _sp = obs.rec.span("render");
-        lsr::render::html_report(path, &trace, &ls)
-    };
     let default = format!("{path}.html");
     let out = opts.get("out").map(String::as_str).unwrap_or(&default);
-    std::fs::write(out, html).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let stream = || -> std::io::Result<()> {
+        let file = std::fs::File::create(out)?;
+        let mut sink = IoSink { inner: std::io::BufWriter::new(file), error: None };
+        let _sp = obs.rec.span("render");
+        let written = lsr::render::write_html_report(&mut sink, path, &trace, &ls);
+        sink.finish(written)
+    };
+    stream().map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     obs.finish("report")
+}
+
+/// Streams a `fmt::Write` renderer into an `io::Write`. `fmt::Error`
+/// carries no cause, so the sink keeps the first I/O error for
+/// [`IoSink::finish`] to return.
+struct IoSink<W: std::io::Write> {
+    inner: W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> IoSink<W> {
+    /// The renderer's outcome as an I/O result, after a final flush.
+    fn finish(mut self, written: std::fmt::Result) -> std::io::Result<()> {
+        match (written, self.error) {
+            (Ok(()), _) => self.inner.flush(),
+            (Err(_), Some(e)) => Err(e),
+            (Err(_), None) => Err(std::io::Error::other("formatter error")),
+        }
+    }
+}
+
+impl<W: std::io::Write> std::fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error.get_or_insert(e);
+            std::fmt::Error
+        })
+    }
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {

@@ -170,6 +170,17 @@ fn report_produces_self_contained_html() {
     assert!(html.starts_with("<!DOCTYPE html>"));
     assert!(html.contains("<svg"));
     assert!(html.contains("Imbalance per phase"));
+    // The CLI streams the document; it must be the library's, byte for byte.
+    let log = std::fs::read_to_string(dir.join("j.lsrtrace")).expect("trace written");
+    let trace = lsr::trace::logfmt::from_log_str(&log).expect("trace parses");
+    let ls = lsr::core::extract(&trace, &lsr::core::Config::charm());
+    assert!(html == lsr::render::html_report("j.lsrtrace", &trace, &ls), "streamed report differs");
+    // A write that fails mid-stream is reported, not swallowed.
+    if std::path::Path::new("/dev/full").exists() {
+        let out = lsr(&["report", "j.lsrtrace", "--out", "/dev/full"], &dir);
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr).contains("cannot write /dev/full"));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

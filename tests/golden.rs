@@ -13,20 +13,22 @@
 use lsr_apps::*;
 use lsr_core::{extract, Config, LogicalStructure};
 
+/// FNV-1a-64 of a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// FNV-1a-64 over `phase_of_event`, `local_step`, `step` and
 /// `task_phase`, in that order, each value as little-endian bytes.
 fn assignment_digest(ls: &LogicalStructure) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    ls.phase_of_event.iter().for_each(|v| feed(&v.to_le_bytes()));
-    ls.local_step.iter().for_each(|v| feed(&v.to_le_bytes()));
-    ls.step.iter().for_each(|v| feed(&v.to_le_bytes()));
-    ls.task_phase.iter().for_each(|v| feed(&v.to_le_bytes()));
-    h
+    fnv1a(
+        (ls.phase_of_event.iter().flat_map(|v| v.to_le_bytes()))
+            .chain(ls.local_step.iter().flat_map(|v| v.to_le_bytes()))
+            .chain(ls.step.iter().flat_map(|v| v.to_le_bytes()))
+            .chain(ls.task_phase.iter().flat_map(|v| v.to_le_bytes())),
+    )
 }
 
 struct Golden {
@@ -233,5 +235,64 @@ counters:
         got, want,
         "profile report drifted from the golden snapshot; if the \
          instrumentation changed deliberately, re-derive this constant"
+    );
+}
+
+/// Golden digests of the rendered output: the whole `html_report`
+/// (three inline SVG views, every metric table) and the migration
+/// view, byte for byte. The structure digests above cannot see a
+/// renderer change; these pin every coordinate, colour and label.
+#[test]
+fn rendered_reports_are_byte_stable() {
+    let cases: [(&str, lsr_trace::Trace, Config, u64, u64); 5] = [
+        (
+            "jacobi-fig15",
+            jacobi2d(&JacobiParams::fig15()),
+            Config::charm(),
+            0x8fe0_4d2d_f0e2_f567,
+            0xdfdc_8be7_1d29_e2e6,
+        ),
+        (
+            "lulesh-charm",
+            lulesh_charm(&LuleshParams::fig16_charm()),
+            Config::charm(),
+            0xcaf2_7fbd_3f2d_996b,
+            0xac95_7cd6_b3ed_9e8a,
+        ),
+        (
+            "lulesh-mpi",
+            lulesh_mpi(&LuleshParams::fig16_mpi()),
+            Config::mpi(),
+            0xe5dc_f7c0_6e62_0d74,
+            0xb993_e6f3_b9fe_3386,
+        ),
+        (
+            "divcon",
+            divcon_charm(&DivConParams::small()),
+            Config::charm(),
+            0xa0c7_48fe_968e_2a1f,
+            0x4e97_c354_aa40_a19d,
+        ),
+        (
+            "mergetree",
+            mergetree_mpi(&MergeTreeParams::small()),
+            Config::mpi().with_process_order(false),
+            0x3af6_1961_5bf7_2cb0,
+            0xa1c8_b06d_534e_08f0,
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (name, trace, cfg, want_html, want_migration) in &cases {
+        let ls = extract(trace, cfg);
+        let html = fnv1a(lsr_render::html_report(name, trace, &ls).into_bytes());
+        let migration = fnv1a(lsr_render::migration_svg(trace).into_bytes());
+        if (html, migration) != (*want_html, *want_migration) {
+            drift.push(format!("{name}: html {html:#018x}, migration {migration:#018x}"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "rendered output drifted from the golden snapshot:\n{}",
+        drift.join("\n")
     );
 }

@@ -9,7 +9,7 @@ use lsr_core::{extract, Config};
 use lsr_metrics::{
     attributes_whole_task, idle_experienced, sub_block_durations, DifferentialDuration, Imbalance,
 };
-use lsr_trace::{Dur, Trace};
+use lsr_trace::{Dur, PeId, Trace};
 
 fn all_app_traces() -> Vec<(&'static str, Trace, Config)> {
     let mut small_jacobi = JacobiParams::fig15();
@@ -80,11 +80,14 @@ fn metrics_hold_invariants_on_all_apps() {
         }
         // Imbalance: spreads are consistent with per-phase extremes.
         let imb = Imbalance::compute(&trace, &ls);
-        for (p, row) in imb.spread.iter().enumerate() {
-            let max_spread = row.iter().copied().max().unwrap_or(Dur::ZERO);
-            assert_eq!(max_spread, imb.per_phase[p], "{name}: phase {p} spread mismatch");
+        let pes = || (0..trace.pe_count).map(PeId);
+        let mut all_loads = Dur::ZERO;
+        for p in 0..ls.num_phases() as u32 {
+            let max_spread = pes().map(|pe| imb.spread(p, pe)).max().unwrap_or(Dur::ZERO);
+            assert_eq!(max_spread, imb.per_phase[p as usize], "{name}: phase {p} spread mismatch");
+            all_loads += pes().map(|pe| imb.load(p, pe)).sum::<Dur>();
         }
-        assert!(imb.overall() <= imb.loads.iter().flatten().copied().sum::<Dur>());
+        assert!(imb.overall() <= all_loads);
     }
 }
 
