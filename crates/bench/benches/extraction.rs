@@ -1,6 +1,6 @@
 //! Criterion benches backing Figs. 18–19: logical-structure extraction
 //! time as a function of iteration count and chare count, plus the
-//! ordering-policy and parallelism comparisons.
+//! ordering-policy comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsr_apps::{lulesh_charm, mergetree_mpi, LuleshParams, MergeTreeParams};
@@ -43,24 +43,5 @@ fn bench_ordering_policy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ordering_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("abl_ordering_threads");
-    group.sample_size(10);
-    let trace = lulesh_charm(&LuleshParams::scaling(6, 8));
-    group.bench_function("serial", |b| {
-        b.iter(|| extract(&trace, &Config::charm()));
-    });
-    group.bench_function("auto", |b| {
-        b.iter(|| extract(&trace, &Config::charm().with_threads(0)));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_iterations,
-    bench_chares,
-    bench_ordering_policy,
-    bench_ordering_threads
-);
+criterion_group!(benches, bench_iterations, bench_chares, bench_ordering_policy);
 criterion_main!(benches);

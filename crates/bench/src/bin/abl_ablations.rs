@@ -1,7 +1,7 @@
 //! Ablation sweep over the pipeline's design choices (DESIGN.md):
 //! app/runtime serial-block splitting (§3.1.1/3.1.3), SDAG inference
-//! (§2.1), dependency inference (§3.1.4), reordering (§3.2.1),
-//! reduction tracing (§5), and parallel per-phase ordering (§3.3).
+//! (§2.1), dependency inference (§3.1.4), reordering (§3.2.1) and
+//! reduction tracing (§5).
 
 use lsr_apps::{jacobi2d, lulesh_charm, JacobiParams, LuleshParams};
 use lsr_bench::{banner, secs, timed};
@@ -33,7 +33,6 @@ fn main() {
     row("no §3.1.4 inference", &trace, &Config::charm().with_inference(false));
     row("no app/runtime split", &trace, &Config::charm().with_split(false));
     row("no SDAG heuristics", &trace, &Config::charm().with_sdag(false));
-    row("parallel ordering", &trace, &Config::charm().with_threads(0));
 
     // §5 ablation: the same application traced with and without the
     // process-local reduction events.

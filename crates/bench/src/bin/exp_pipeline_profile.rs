@@ -14,16 +14,10 @@
 //!    `BENCH_pipeline.json`; a stage that more than doubles its share
 //!    (plus 5pp slack for fast stages) fails the run. Shares, not
 //!    absolute times, so the gate holds across machines.
-//! 4. **Threads axis** — each case is re-timed at 1/2/4 threads,
-//!    asserting bit-identical structure *and* provenance against the
-//!    serial run (docs/parallel.md). Only the per-phase ordering runs
-//!    in parallel, so the timings are recorded, not gated.
 
 use lsr_apps::{jacobi2d, mergetree_mpi, JacobiParams, MergeTreeParams};
 use lsr_bench::{banner, secs, timed, write_artifact};
-use lsr_core::{
-    try_extract, try_extract_with_provenance, Config, LogicalStructure, EXTRACT_STAGE_SPANS,
-};
+use lsr_core::{try_extract, Config, LogicalStructure, EXTRACT_STAGE_SPANS};
 use lsr_obs::{Profile, Recorder};
 use lsr_trace::{Dur, Trace};
 use std::time::Duration;
@@ -50,8 +44,6 @@ struct CaseResult {
     extract_ns: u64,
     /// `(stage, ns, share-of-extract)` for every child of the extract span.
     stages: Vec<(String, u64, f64)>,
-    /// `(threads, best-of-N ns)` for the threads axis, serial first.
-    threads: Vec<(usize, u128)>,
 }
 
 /// Extracts once with a fresh enabled recorder; returns the structure
@@ -115,34 +107,6 @@ fn run_case(
         );
     }
 
-    // Threads axis: best-of-N at each thread count, each run checked
-    // bit-identical (structure + provenance) against the serial
-    // reference. Fewer reps — the identity assertions dominate the
-    // value here.
-    let treps = reps.div_ceil(4);
-    let (serial_ref, t1) = best(treps, || {
-        try_extract_with_provenance(trace, &cfg.clone().with_threads(1)).expect("preset extracts")
-    });
-    let mut threads = vec![(1usize, t1.as_nanos())];
-    for n in [2usize, 4] {
-        let (par, tn) = best(treps, || {
-            try_extract_with_provenance(trace, &cfg.clone().with_threads(n))
-                .expect("preset extracts")
-        });
-        assert_eq!(
-            serial_ref, par,
-            "{name}: {n}-thread extraction must be bit-identical to serial"
-        );
-        threads.push((n, tn.as_nanos()));
-    }
-    for &(n, ns) in &threads[1..] {
-        println!(
-            "    threads={n}: {:>12} ns  speedup {:.2}x",
-            ns,
-            threads[0].1 as f64 / ns.max(1) as f64
-        );
-    }
-
     CaseResult {
         name,
         disabled_ns: t_disabled.as_nanos(),
@@ -150,7 +114,6 @@ fn run_case(
         overhead_vs_noop,
         extract_ns,
         stages,
-        threads,
     }
 }
 
@@ -266,17 +229,10 @@ fn main() {
             Some(x) => format!("{x:.4}"),
             None => "null".to_owned(),
         };
-        let threads = r
-            .threads
-            .iter()
-            .map(|(n, ns)| format!("      {{\"threads\": {n}, \"ns\": {ns}}}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
         case_json.push(format!(
             "    {{\n      \"name\": \"{}\",\n      \"disabled_ns\": {},\n      \
              \"enabled_ns\": {},\n      \"overhead_vs_noop\": {overhead},\n      \
-             \"extract_ns\": {},\n      \"stages\": [\n{stages}\n      ],\n      \
-             \"threads\": [\n{threads}\n      ]\n    }}",
+             \"extract_ns\": {},\n      \"stages\": [\n{stages}\n      ]\n    }}",
             r.name, r.disabled_ns, r.enabled_ns, r.extract_ns
         ));
     }

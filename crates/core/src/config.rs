@@ -74,13 +74,6 @@ pub struct Config {
     /// partitions, and enforce the chare-path DAG properties. Disabling
     /// this reproduces Fig. 17.
     pub infer_dependencies: bool,
-    /// §3.3: worker threads for ordering phases, the one parallel
-    /// stage. `1` — the default — is serial, `0` is auto (the host's
-    /// available parallelism), and `n > 1` is exactly `n` workers.
-    /// Phase finding always runs serially. Extraction output —
-    /// structure and provenance — is bit-identical at every thread
-    /// count (`docs/parallel.md`).
-    pub threads: usize,
     /// §3.2.1: how `w` ties between serial blocks are broken.
     pub tiebreak: TieBreak,
     /// §3.4: in the message-passing model, assume per-process physical
@@ -113,7 +106,6 @@ impl Config {
             split_app_runtime: true,
             sdag_inference: true,
             infer_dependencies: true,
-            threads: 1,
             tiebreak: TieBreak::ChareId,
             mp_process_order: true,
             verify_invariants: false,
@@ -157,22 +149,12 @@ impl Config {
         self
     }
 
-    /// Sets the worker-thread count for the §3.3 per-phase ordering:
-    /// `1` = serial, `0` = auto (available parallelism), `n > 1` =
-    /// exactly `n` workers.
-    pub fn with_threads(mut self, n: usize) -> Config {
-        self.threads = n;
+    /// Ignored: extraction is serial (DESIGN §7.12). Kept only because
+    /// the pinned `lsr_benchmark` still calls it for its `extract_t2`
+    /// axis; it goes away with the benchmark refresh (ROADMAP item 6).
+    #[doc(hidden)]
+    pub fn with_threads(self, _n: usize) -> Config {
         self
-    }
-
-    /// The worker count [`Config::threads`] resolves to on this host.
-    /// When the host cannot report its parallelism, auto runs serially
-    /// rather than guessing.
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
     }
 
     /// Enables/disables the §3.4 per-process control-order assumption
@@ -238,26 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_policy_resolves_as_documented() {
-        let c = Config::charm();
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.resolved_threads(), 1, "the default is serial");
-        assert_eq!(c.clone().with_threads(6).resolved_threads(), 6, "explicit count is exact");
-        let auto = c.with_threads(0).resolved_threads();
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(auto, host, "0 resolves to the host's parallelism");
-    }
-
-    #[test]
     fn with_methods_flip_flags() {
         let c = Config::charm()
             .with_inference(false)
             .with_split(false)
             .with_sdag(false)
-            .with_threads(4)
             .with_ordering(OrderingPolicy::PhysicalTime);
         assert!(!c.infer_dependencies && !c.split_app_runtime && !c.sdag_inference);
-        assert_eq!(c.threads, 4);
         assert_eq!(c.ordering, OrderingPolicy::PhysicalTime);
     }
 }

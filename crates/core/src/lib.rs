@@ -17,9 +17,10 @@
 //!    DAG properties (Alg. 5).
 //! 5. **Step assignment** (§3.2) with the idealized-forward-replay
 //!    reordering (§3.2.1), in its task-based and message-passing
-//!    variants. Phases are independent, so with [`Config::threads`]
-//!    above one they are ordered in parallel (§3.3) — the pipeline's
-//!    one parallel region; phase finding (steps 1–4) is serial.
+//!    variants. Phases are ordered one after another: the paper notes
+//!    that they are independent and so could be ordered in parallel
+//!    (§3.3), but on the measured workloads a fan-out never paid for
+//!    itself, so the whole pipeline is serial (DESIGN §7.12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,6 @@ mod atoms;
 mod config;
 pub mod graph;
 mod merges;
-mod pool;
 mod provenance;
 mod stage;
 mod step;
@@ -68,8 +68,7 @@ pub enum ExtractError {
     /// leap assignment or topological phase order exists. Every merge
     /// pass ends with a cycle merge, so validated traces cannot reach
     /// this; corrupted partition state surfaces here — through every
-    /// `try_extract*` entry point, serial or parallel — instead of the
-    /// panic it used to be.
+    /// `try_extract*` entry point — instead of the panic it used to be.
     PhaseCycle {
         /// Dense partition ids (at the failing stage) on one offending
         /// cycle, in edge order.
@@ -222,13 +221,6 @@ fn extract_inner(
     let rec = &cfg.recorder;
     let span_extract = rec.span("extract");
 
-    // Phase finding runs serially; the thread policy only drives the
-    // §3.3 ordering fan-out in `assemble`.
-    let threads = cfg.resolved_threads();
-    if rec.is_enabled() {
-        rec.add("core.threads", threads as u64);
-    }
-
     let sp = rec.span("atoms");
     let ix = trace.index();
     let ag = atoms::build_atoms(trace, &ix, cfg);
@@ -284,7 +276,7 @@ fn extract_inner(
         *out = stage.prov.take();
     }
     let sp = rec.span("ordering");
-    let ls = assemble(trace, &ix, stage, cfg, threads)?;
+    let ls = assemble(trace, &ix, stage, cfg)?;
     drop(sp);
     flush_diag_counters(rec, &ls.diagnostics);
     drop(span_extract);
@@ -327,7 +319,6 @@ fn assemble(
     ix: &lsr_trace::TraceIndex,
     mut stage: stage::Stage<'_>,
     cfg: &Config,
-    threads: usize,
 ) -> Result<LogicalStructure, ExtractError> {
     let v = stage.view();
     let nphases = v.len();
@@ -339,31 +330,18 @@ fn assemble(
     let (phase_of_event, local_idx) = step::index_events(&stage.ag, &v.part_of_atom, nphases);
     let tables = step::EventTables { phase_of_event: &phase_of_event, local_idx: &local_idx };
 
-    // Local step assignment per phase (optionally in parallel, §3.3).
-    let inputs: Vec<step::PhaseInput<'_>> = v
+    // Local step assignment per phase, in phase-id order; the first
+    // (lowest) failing phase stops the run and is the error returned.
+    let results: Vec<step::PhaseResult> = v
         .atoms_in
         .iter()
         .enumerate()
-        .map(|(p, atoms)| step::PhaseInput { id: p as u32, atoms })
-        .collect();
-    let ag_ref = &stage.ag;
-    // The §3.3 fan-out, the pipeline's one parallel region: dynamic
-    // scheduling over phases. Results come back in phase-id order
-    // (inputs are in id order) and a failure reports the *lowest*
-    // failing phase id, so the returned error is the one a serial run
-    // would hit first — error selection is deterministic at any thread
-    // count.
-    let (workers, outcome) = pool::try_map_indexed(threads, &inputs, |_, input| {
-        step::assign_phase_steps(trace, ag_ref, tables, input, cfg)
-    });
-    if cfg.recorder.is_enabled() {
-        cfg.recorder.add("core.ordering.workers", workers as u64);
-        if workers > 1 {
-            cfg.recorder.add("core.parallel.ordering", workers as u64);
-        }
-    }
-    let results: Vec<step::PhaseResult> = outcome?;
-    // The local-id table dies with the fan-out.
+        .map(|(p, atoms)| {
+            let input = step::PhaseInput { id: p as u32, atoms };
+            step::assign_phase_steps(trace, &stage.ag, tables, &input, cfg)
+        })
+        .collect::<Result<_, _>>()?;
+    // Every phase is ordered: free the local-id table early.
     drop(local_idx);
     diag.reorder_fallbacks = results.iter().filter(|r| r.fallback).count();
 
@@ -539,48 +517,10 @@ mod tests {
             Config::charm().with_inference(false),
             Config::charm().with_split(false),
             Config::charm().with_sdag(false),
-            Config::charm().with_threads(4),
         ] {
             let ls = extract(&tr, &cfg);
             ls.verify(&tr).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
         }
-    }
-
-    #[test]
-    fn parallel_ordering_matches_serial() {
-        let tr = ring_app(8, 4, 3, 11);
-        let serial = extract(&tr, &Config::charm());
-        let parallel = extract(&tr, &Config::charm().with_threads(4));
-        assert_eq!(serial.step, parallel.step);
-        assert_eq!(serial.phase_of_event, parallel.phase_of_event);
-    }
-
-    /// Only the per-phase ordering fans out: with two workers on a
-    /// multi-phase trace `core.parallel.ordering` records them and no
-    /// other `core.parallel.*` counter exists; serially it is absent.
-    #[test]
-    fn only_the_ordering_records_a_fan_out() {
-        let tr = ring_app(8, 4, 3, 11);
-        let counters = |threads: usize| {
-            let rec = lsr_obs::Recorder::enabled();
-            extract(&tr, &Config::charm().with_threads(threads).with_recorder(rec.clone()));
-            rec.counters()
-        };
-        let get =
-            |cs: &[(String, u64)], name: &str| cs.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-        let par = counters(2);
-        assert_eq!(get(&par, "core.threads"), Some(2));
-        assert_eq!(get(&par, "core.ordering.workers"), Some(2));
-        assert_eq!(get(&par, "core.parallel.ordering"), Some(2));
-        let fanned: Vec<&str> = par
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .filter(|n| n.starts_with("core.parallel."))
-            .collect();
-        assert_eq!(fanned, ["core.parallel.ordering"]);
-        let serial = counters(1);
-        assert_eq!(get(&serial, "core.ordering.workers"), Some(1));
-        assert_eq!(get(&serial, "core.parallel.ordering"), None);
     }
 
     #[test]
@@ -634,8 +574,7 @@ mod tests {
                     home_pe: PeId(1),
                 },
                 // An unrelated, well-formed spontaneous task lives on
-                // this chare so the trace has more than one phase and
-                // the parallel ordering path actually fans out.
+                // this chare so the trace has more than one phase.
                 ChareInfo {
                     id: ChareId(2),
                     array: ArrayId(0),
@@ -755,16 +694,6 @@ mod tests {
             .expect_err("extract must panic on a cyclic trace");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("step assignment cycle"), "panic message was {msg:?}");
-    }
-
-    #[test]
-    fn step_cycle_error_propagates_through_parallel_ordering() {
-        let tr = mutual_trigger_trace();
-        let cfg = Config::charm().with_threads(4);
-        match try_extract(&tr, &cfg) {
-            Err(ExtractError::StepCycle { .. }) => {}
-            other => panic!("expected StepCycle, got {other:?}"),
-        }
     }
 
     #[test]

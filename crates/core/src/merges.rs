@@ -2,8 +2,8 @@
 //!
 //! Every pass runs serially against the stage's union-find, visiting
 //! candidates in an order derived only from input indices; any map
-//! whose iteration order reaches provenance is a `BTreeMap`. Only the
-//! §3.3 per-phase ordering runs in parallel (`docs/parallel.md`).
+//! whose iteration order reaches provenance is a `BTreeMap`
+//! (`tests/determinism.rs` checks that two runs agree).
 
 use crate::atoms::EdgeKind;
 use crate::provenance::ProvenanceRule;

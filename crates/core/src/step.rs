@@ -68,10 +68,8 @@ pub(crate) fn index_events(
     (phase_of_event, local_idx)
 }
 
-/// The per-phase result: local steps per event. Results come back
-/// from the ordering fan-out already in phase-id order
-/// ([`crate::pool::try_map_indexed`]), so the phase id itself is not
-/// carried along.
+/// The per-phase result: local steps per event. Phases are ordered in
+/// phase-id order, so the phase id itself is not carried along.
 pub(crate) struct PhaseResult {
     pub local: Vec<(EventId, u64)>,
     pub max_local: u64,

@@ -5,7 +5,7 @@ use crate::motif::Motif;
 use crate::mpi_emit::emit_mpi;
 use crate::scenario::Scenario;
 use lsr_audit::{audit_extract, AuditOptions};
-use lsr_core::{try_extract, try_extract_with_provenance, Config};
+use lsr_core::{try_extract, Config};
 use lsr_lint::{model_diagnostics, Severity};
 use lsr_model::SkeletonModel;
 use lsr_obs::Recorder;
@@ -77,21 +77,17 @@ pub enum Failure {
         /// Error-severity `A` codes, deduplicated, in replay order.
         codes: Vec<String>,
     },
-    /// Serial and threaded extraction disagree (structure or
-    /// provenance) — a merge-order nondeterminism escape.
-    ParallelMismatch,
 }
 
 impl Failure {
     /// The diagnostic code `lsr shrink` can minimize against, when one
-    /// exists (extraction failures and parallel mismatches have no
-    /// per-record oracle).
+    /// exists (extraction failures have no per-record oracle).
     pub fn shrink_code(&self) -> Option<&str> {
         match self {
             Failure::NonConformant { codes } | Failure::AuditFailed { codes } => {
                 codes.first().map(String::as_str)
             }
-            _ => None,
+            Failure::Extract(_) => None,
         }
     }
 }
@@ -106,20 +102,14 @@ impl fmt::Display for Failure {
             Failure::AuditFailed { codes } => {
                 write!(f, "certificate violation: {}", codes.join(","))
             }
-            Failure::ParallelMismatch => f.write_str("serial vs threaded extraction differ"),
         }
     }
 }
 
-/// Threads used for the parallel leg of the differential check.
-const DIFF_THREADS: usize = 4;
-
 /// Runs the full oracle stack over one trace. `cfg` is the
-/// backend-matched base configuration; the serial leg pins
-/// `--threads 1` and the parallel leg `--threads 4`.
+/// backend-matched base configuration.
 pub fn check_trace(trace: &Trace, cfg: &Config) -> Option<Failure> {
-    let serial = cfg.clone().with_threads(1);
-    let ls = match try_extract(trace, &serial) {
+    let ls = match try_extract(trace, cfg) {
         Ok(ls) => ls,
         Err(e) => return Some(Failure::Extract(e.to_string())),
     };
@@ -136,8 +126,8 @@ pub fn check_trace(trace: &Trace, cfg: &Config) -> Option<Failure> {
         return Some(Failure::NonConformant { codes });
     }
 
-    match audit_extract(trace, &serial, AuditOptions::default()) {
-        Ok((_, audit)) if audit.is_certified() => {}
+    match audit_extract(trace, cfg, AuditOptions::default()) {
+        Ok((_, audit)) if audit.is_certified() => None,
         Ok((_, audit)) => {
             let mut codes: Vec<String> = Vec::new();
             for d in &audit.diagnostics {
@@ -145,24 +135,10 @@ pub fn check_trace(trace: &Trace, cfg: &Config) -> Option<Failure> {
                     codes.push(d.code.to_string());
                 }
             }
-            return Some(Failure::AuditFailed { codes });
+            Some(Failure::AuditFailed { codes })
         }
-        Err(e) => return Some(Failure::Extract(e.to_string())),
+        Err(e) => Some(Failure::Extract(e.to_string())),
     }
-
-    let parallel = cfg.clone().with_threads(DIFF_THREADS);
-    match (
-        try_extract_with_provenance(trace, &serial),
-        try_extract_with_provenance(trace, &parallel),
-    ) {
-        (Ok((ls1, prov1)), Ok((ls2, prov2))) => {
-            if ls1 != ls2 || prov1 != prov2 {
-                return Some(Failure::ParallelMismatch);
-            }
-        }
-        _ => return Some(Failure::ParallelMismatch),
-    }
-    None
 }
 
 /// One scenario × backend run: the trace dimensions and the verdict.

@@ -14,9 +14,7 @@
 //! 2. the recovered structure must conform to the skeleton model the
 //!    motifs declared ([`lsr_model::conforms`]);
 //! 3. the extraction certificate must replay clean
-//!    ([`lsr_audit::audit_extract`]);
-//! 4. serial and `--threads N` extraction must agree bit-for-bit
-//!    (structure *and* merge provenance).
+//!    ([`lsr_audit::audit_extract`]).
 //!
 //! Generation is byte-deterministic: the same `(seed, id, params)`
 //! always produces the same scenario and — because both simulators are

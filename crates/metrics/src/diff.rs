@@ -49,12 +49,14 @@ impl StructureDiff {
         trace_b: &Trace,
         ls_b: &LogicalStructure,
     ) -> StructureDiff {
-        let profiles = |trace: &Trace, ls: &LogicalStructure| -> Vec<PhaseProfile> {
-            let by_phase = phase_profiles(trace, ls);
+        let imb_a = Imbalance::compute(trace_a, ls_a);
+        let imb_b = Imbalance::compute(trace_b, ls_b);
+        let profiles = |trace: &Trace, ls: &LogicalStructure, imb| -> Vec<PhaseProfile> {
+            let by_phase = phase_profiles(trace, ls, imb);
             ls.phases_by_offset().iter().map(|&p| by_phase[p as usize].clone()).collect()
         };
-        let pa = profiles(trace_a, ls_a);
-        let pb = profiles(trace_b, ls_b);
+        let pa = profiles(trace_a, ls_a, &imb_a);
+        let pb = profiles(trace_b, ls_b, &imb_b);
         let n = pa.len().max(pb.len());
         let mut pairs = Vec::with_capacity(n);
         let mut matching = 0;
@@ -77,10 +79,7 @@ impl StructureDiff {
             pairs,
             matching,
             busy: (busy_of(trace_a), busy_of(trace_b)),
-            overall_imbalance: (
-                Imbalance::compute(trace_a, ls_a).overall(),
-                Imbalance::compute(trace_b, ls_b).overall(),
-            ),
+            overall_imbalance: (imb_a.overall(), imb_b.overall()),
             steps: (ls_a.max_step() + 1, ls_b.max_step() + 1),
         }
     }

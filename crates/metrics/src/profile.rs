@@ -30,9 +30,10 @@ pub struct PhaseProfile {
     pub imbalance: Dur,
 }
 
-/// Computes a [`PhaseProfile`] per phase.
-pub fn phase_profiles(trace: &Trace, ls: &LogicalStructure) -> Vec<PhaseProfile> {
-    let imb = Imbalance::compute(trace, ls);
+/// Computes a [`PhaseProfile`] per phase. `imb` is the caller's
+/// [`Imbalance::compute`] of the same trace and structure, so a caller
+/// that also reports imbalance computes it once.
+pub fn phase_profiles(trace: &Trace, ls: &LogicalStructure, imb: &Imbalance) -> Vec<PhaseProfile> {
     let n = ls.num_phases();
     let mut out: Vec<PhaseProfile> = (0..n)
         .map(|p| PhaseProfile {
@@ -93,9 +94,10 @@ impl fmt::Display for PhaseProfile {
     }
 }
 
-/// Formats all profiles as a table, ordered by phase offset.
-pub fn profile_table(trace: &Trace, ls: &LogicalStructure) -> String {
-    let profiles = phase_profiles(trace, ls);
+/// Formats all profiles as a table, ordered by phase offset; `imb` as
+/// for [`phase_profiles`].
+pub fn profile_table(trace: &Trace, ls: &LogicalStructure, imb: &Imbalance) -> String {
+    let profiles = phase_profiles(trace, ls, imb);
     let mut out = String::new();
     for &p in &ls.phases_by_offset() {
         out.push_str(&profiles[p as usize].to_string());
@@ -113,7 +115,7 @@ mod tests {
     fn profiles_account_for_all_tasks_and_intra_phase_messages() {
         let tr = lsr_apps::jacobi2d(&lsr_apps::JacobiParams::fig15());
         let ls = lsr_core::extract(&tr, &Config::charm());
-        let profiles = phase_profiles(&tr, &ls);
+        let profiles = phase_profiles(&tr, &ls, &Imbalance::compute(&tr, &ls));
         assert_eq!(profiles.len(), ls.num_phases());
         let total_tasks: usize = profiles.iter().map(|p| p.tasks).sum();
         assert_eq!(total_tasks, tr.tasks.len(), "every task lands in a phase");
@@ -135,7 +137,7 @@ mod tests {
     fn table_is_ordered_by_offset() {
         let tr = lsr_apps::jacobi2d(&lsr_apps::JacobiParams::fig15());
         let ls = lsr_core::extract(&tr, &Config::charm());
-        let table = profile_table(&tr, &ls);
+        let table = profile_table(&tr, &ls, &Imbalance::compute(&tr, &ls));
         assert_eq!(table.lines().count(), ls.num_phases());
         assert!(table.contains("[rt ]") && table.contains("[app]"));
     }

@@ -60,14 +60,14 @@ fn empty_trace_yields_empty_metrics() {
     assert!(idle_experienced(&tr).is_empty());
     assert_eq!(per_pe_totals(&tr, &[]), vec![Dur::ZERO; 2]);
     assert!(sub_block_durations(&tr).is_empty());
-    assert!(phase_profiles(&tr, &ls).is_empty());
+    let imb = Imbalance::compute(&tr, &ls);
+    assert!(phase_profiles(&tr, &ls, &imb).is_empty());
 
     let dd = DifferentialDuration::compute(&tr, &ls);
     assert!(dd.per_event.is_empty());
     assert_eq!(dd.max(), None);
     assert!(dd.outliers(Dur(1)).is_empty());
 
-    let imb = Imbalance::compute(&tr, &ls);
     assert_eq!(imb.total(), Dur::ZERO);
     assert_eq!(imb.overall(), Dur::ZERO);
     assert!(imb.mean_relative().is_finite(), "no-phase imbalance must not divide by zero");
@@ -79,7 +79,7 @@ fn empty_trace_yields_empty_metrics() {
 
     assert_eq!(mean_lateness(&lsr_metrics::lateness(&tr, &ls)), Dur::ZERO);
     // The rendered table degrades to nothing rather than panicking.
-    assert_eq!(profile_table(&tr, &ls), "");
+    assert_eq!(profile_table(&tr, &ls, &imb), "");
 }
 
 #[test]
@@ -94,7 +94,8 @@ fn single_event_phase_has_sane_profile() {
         "the phase must hold exactly one event"
     );
 
-    let profiles = phase_profiles(&tr, &ls);
+    let imb = Imbalance::compute(&tr, &ls);
+    let profiles = phase_profiles(&tr, &ls, &imb);
     assert_eq!(profiles.len(), 1);
     let p = &profiles[0];
     assert_eq!(p.tasks, 1);
@@ -108,7 +109,6 @@ fn single_event_phase_has_sane_profile() {
     let dd = DifferentialDuration::compute(&tr, &ls);
     assert!(dd.per_event.iter().all(|&d| d == Dur::ZERO));
 
-    let imb = Imbalance::compute(&tr, &ls);
     assert_eq!(imb.total(), Dur::ZERO);
     assert!(imb.mean_relative().is_finite());
 

@@ -70,7 +70,7 @@ pub fn write_html_report(
     writeln!(
         h,
         "<h3>Per-phase profile</h3><pre>{}</pre>",
-        esc(&lsr_metrics::profile_table(trace, ls))
+        esc(&lsr_metrics::profile_table(trace, ls, &imb))
     )?;
     let layout = Layout::new(trace);
     h.write_str("<h3>Logical time (colored by phase)</h3><div class=\"svgbox\">")?;

@@ -49,5 +49,5 @@ fn main() {
         }
     }
     assert_eq!(failures, 0, "the seeded corpus must pass the oracle stack");
-    println!("\nall {} trace(s) passed the 4-rung differential oracle", outcomes.len());
+    println!("\nall {} trace(s) passed the 3-rung differential oracle", outcomes.len());
 }

@@ -19,8 +19,7 @@
 //! Extraction flags: `--mpi` (message-passing model), `--physical`
 //! (no reordering), `--no-infer`, `--no-split`, `--no-sdag`,
 //! `--no-process-order`, `--verify` (re-check the DESIGN §7 invariants
-//! after extraction; panics on violation), `--threads N` (workers for
-//! the per-phase ordering: 1 = serial, the default; 0 = auto).
+//! after extraction; panics on violation).
 //! Render flags: `--view logical|physical`, `--format ascii|svg`,
 //! `--metric phase|diff|idle|imbalance`, `--out FILE`.
 //!
@@ -114,9 +113,7 @@ fn print_help() {
          \u{20}  critical-path <trace>       longest dependent chain\n\n\
          EXTRACTION FLAGS (extract/render/metrics/lint/analyze/model/races)\n\
          \u{20}  --mpi --physical --no-infer --no-split --no-sdag\n\
-         \u{20}  --no-process-order --verify\n\
-         \u{20}  --threads N              workers ordering phases in parallel\n\
-         \u{20}                           (1 = serial, the default; 0 = auto)\n\n\
+         \u{20}  --no-process-order --verify\n\n\
          LINT FLAGS\n\
          \u{20}  --json                   machine-readable report\n\
          \u{20}  --deny-warnings          exit nonzero on warnings too\n\
@@ -190,7 +187,6 @@ fn parse_opts(
         "max-probes",
         "deny",
         "bottleneck-share",
-        "threads",
         "seed",
         "count",
         "motifs",
@@ -281,10 +277,7 @@ impl Obs {
     }
 }
 
-fn config_from(
-    opts: &std::collections::HashMap<String, String>,
-    obs: &Obs,
-) -> Result<Config, String> {
+fn config_from(opts: &std::collections::HashMap<String, String>, obs: &Obs) -> Config {
     let mut cfg = if opts.contains_key("mpi") { Config::mpi() } else { Config::charm() };
     if opts.contains_key("physical") {
         cfg = cfg.with_ordering(OrderingPolicy::PhysicalTime);
@@ -304,13 +297,7 @@ fn config_from(
     if opts.contains_key("verify") {
         cfg = cfg.with_verify(true);
     }
-    if let Some(v) = opts.get("threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("--threads expects a non-negative integer, got `{v}`"))?;
-        cfg = cfg.with_threads(n);
-    }
-    Ok(cfg.with_recorder(obs.rec.clone()))
+    cfg.with_recorder(obs.rec.clone())
 }
 
 /// Reads a trace in either layout (`<base>.sts` selects the multi-file
@@ -448,7 +435,7 @@ fn extract_from(args: &[String]) -> Result<(Trace, LogicalStructure, Obs), Strin
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let ls = try_extract(&trace, &cfg).map_err(|e| format!("cannot extract structure: {e}"))?;
     {
         let _sp = obs.rec.span("verify");
@@ -661,7 +648,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let ls = try_extract(&trace, &cfg).map_err(|e| format!("cannot extract structure: {e}"))?;
     {
         let _sp = obs.rec.span("verify");
@@ -754,8 +741,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         );
     }
     println!("\n== per-phase profile ==");
-    print!("{}", lsr::metrics::profile_table(&trace, &ls));
     let imb = Imbalance::compute(&trace, &ls);
+    print!("{}", lsr::metrics::profile_table(&trace, &ls, &imb));
     println!("\n== imbalance ==");
     println!("  per-phase sum: {}", imb.total());
     println!("  overall (max PE − min PE): {}", imb.overall());
@@ -769,7 +756,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let ls = try_extract(&trace, &cfg).map_err(|e| format!("cannot extract structure: {e}"))?;
     {
         let _sp = obs.rec.span("verify");
@@ -824,7 +811,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
         [a, b] => (*a, *b),
         _ => return Err("diff wants exactly two trace files".into()),
     };
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let (ta, tb) = (load(pa, &opts, &obs.rec)?, load(pb, &opts, &obs.rec)?);
     let la = try_extract(&ta, &cfg).map_err(|e| format!("{pa}: cannot extract structure: {e}"))?;
     la.verify(&ta).map_err(|e| format!("{pa}: {e}"))?;
@@ -866,7 +853,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot parse {path}: {e}"))?;
         (t, None)
     };
-    let mut lint_opts = lsr::lint::LintOptions::with_config(config_from(&opts, &obs)?);
+    let mut lint_opts = lsr::lint::LintOptions::with_config(config_from(&opts, &obs));
     if let Some(v) = opts.get("limit") {
         lint_opts.limit = v.parse().map_err(|_| format!("--limit wants a number, got {v:?}"))?;
     }
@@ -903,7 +890,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let ls = try_extract(&trace, &cfg).map_err(|e| format!("cannot extract structure: {e}"))?;
 
     let mut aopts = lsr::flow::AnalyzeOptions::default();
@@ -940,7 +927,7 @@ fn cmd_model(args: &[String]) -> Result<ExitCode, String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let ls = try_extract(&trace, &cfg).map_err(|e| format!("cannot extract structure: {e}"))?;
     let limit = match opts.get("limit") {
         None => lsr::lint::DEFAULT_DIAG_LIMIT,
@@ -979,7 +966,7 @@ fn cmd_races(args: &[String]) -> Result<ExitCode, String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let limit = match opts.get("limit") {
         None => lsr::lint::DEFAULT_DIAG_LIMIT,
         Some(v) => v.parse().map_err(|_| format!("--limit wants a number, got {v:?}"))?,
@@ -1018,7 +1005,7 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, String> {
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
     let trace = load_windowed(path, &opts, &obs.rec)?;
-    let cfg = config_from(&opts, &obs)?;
+    let cfg = config_from(&opts, &obs);
     let mut audit_opts = lsr::audit::AuditOptions::default();
     if let Some(v) = opts.get("limit") {
         audit_opts.limit = v.parse().map_err(|_| format!("--limit wants a number, got {v:?}"))?;
@@ -1056,7 +1043,7 @@ fn cmd_shrink(args: &[String]) -> Result<(), String> {
     let code = opts.get("code").ok_or("--code CODE is required (e.g. --code T005)")?;
     let log = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut shrink_opts =
-        lsr::audit::ShrinkOptions { config: config_from(&opts, &obs)?, ..Default::default() };
+        lsr::audit::ShrinkOptions { config: config_from(&opts, &obs), ..Default::default() };
     if let Some(v) = opts.get("max-probes") {
         shrink_opts.max_probes =
             v.parse().map_err(|_| format!("--max-probes wants a number, got {v:?}"))?;

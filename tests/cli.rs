@@ -521,8 +521,8 @@ fn races_rejects_the_engine_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One thread flag: `--parallel` is gone and fails like any unknown
-/// flag, with the usage error and exit status 1.
+/// `--parallel` is gone and fails like any unknown flag, with the
+/// usage error and exit status 1.
 #[test]
 fn extract_rejects_the_parallel_flag() {
     let dir = temp_dir("parallel-flag");
@@ -534,16 +534,15 @@ fn extract_rejects_the_parallel_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--threads 0` (auto) prints exactly what `--threads 1` (serial)
-/// prints, on a many-phase preset where the ordering fans out.
+/// Extraction is serial: `--threads` is gone too and fails like any
+/// unknown flag, with the usage error and exit status 1.
 #[test]
-fn extract_threads_auto_matches_serial() {
-    let dir = temp_dir("threads-auto");
-    assert!(lsr(&["gen", "lassen64", "--out", "l.lsrtrace"], &dir).status.success());
-    let serial = lsr(&["extract", "l.lsrtrace", "--threads", "1"], &dir);
-    let auto = lsr(&["extract", "l.lsrtrace", "--threads", "0"], &dir);
-    assert!(serial.status.success(), "{}", String::from_utf8_lossy(&serial.stderr));
-    assert_eq!(serial.status.code(), auto.status.code());
-    assert_eq!(serial.stdout, auto.stdout, "--threads 0 output differs from --threads 1");
+fn extract_rejects_the_threads_flag() {
+    let dir = temp_dir("threads-flag");
+    assert!(lsr(&["gen", "jacobi-fig8", "--out", "j.lsrtrace"], &dir).status.success());
+    let out = lsr(&["extract", "j.lsrtrace", "--threads", "2"], &dir);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --threads"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -118,8 +118,8 @@ fn every_emitted_counter_is_documented() {
     for dir in ["src", "crates"] {
         scan_counters(&root.join(dir), &mut emitted);
     }
-    // The fuzz sweep, happened-before index and thread-policy counters
-    // must be part of the scan (guards both the scanner and the instrumentation
+    // The fuzz sweep, happened-before index and ordering counters must
+    // be part of the scan (guards both the scanner and the instrumentation
     // against silent renames).
     for name in [
         "fuzz.scenarios",
@@ -135,8 +135,7 @@ fn every_emitted_counter_is_documented() {
         "lint.hb.searches",
         "lint.hb.search_visits",
         "flow.oracle.searches",
-        "core.parallel.ordering",
-        "core.threads",
+        "core.ordering.phases",
     ] {
         assert!(emitted.contains(name), "counter {name} is no longer incremented anywhere");
     }

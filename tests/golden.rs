@@ -219,9 +219,7 @@ spans:
     enforce <T>  <P>
     ordering <T>  <P>
 counters:
-  core.threads            1
   core.ordering.phases    12
-  core.ordering.workers   1
   core.atoms              345
   core.merges.dependency  249
   core.merges.cycle       1

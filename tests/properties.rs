@@ -46,20 +46,6 @@ proptest! {
         prop_assert_eq!(&a.task_phase, &b.task_phase);
     }
 
-    /// Parallel ordering is an implementation detail: identical output.
-    #[test]
-    fn parallel_ordering_is_deterministic(
-        pes in 1u32..4,
-        chares in 1u32..6,
-        tape in proptest::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let trace = support::trace_from_tape(pes, chares, &tape);
-        let serial = extract(&trace, &Config::charm());
-        let parallel = extract(&trace, &Config::charm().with_threads(4));
-        prop_assert_eq!(serial.step, parallel.step);
-        prop_assert_eq!(serial.local_step, parallel.local_step);
-    }
-
     /// Sub-blocks always partition task time exactly.
     #[test]
     fn sub_blocks_partition_tasks(

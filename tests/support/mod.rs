@@ -140,7 +140,6 @@ pub fn all_configs() -> Vec<(&'static str, lsr_core::Config)> {
         ("charm/no-infer", Config::charm().with_inference(false)),
         ("charm/no-split", Config::charm().with_split(false)),
         ("charm/no-sdag", Config::charm().with_sdag(false)),
-        ("charm/parallel", Config::charm().with_threads(4)),
         ("mpi", Config::mpi()),
         ("mpi/baseline", Config::mpi_baseline()),
         ("mpi/no-order", Config::mpi().with_process_order(false)),
