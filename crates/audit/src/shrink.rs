@@ -23,7 +23,8 @@ use crate::check::{audit, AuditOptions};
 use lsr_core::{try_extract, try_extract_with_provenance, Config};
 use lsr_lint::{analyze_races, ingest_diagnostics, lint_trace, model_diagnostics, LintOptions};
 use lsr_model::SkeletonModel;
-use lsr_trace::logfmt::{read_log_salvage, to_log_string};
+use lsr_trace::logfmt::{read_log, to_log_string};
+use lsr_trace::Mode;
 
 /// Options for [`shrink_log`].
 #[derive(Debug, Clone)]
@@ -95,7 +96,7 @@ impl ShrinkResult {
 /// True when diagnostic `code` fires on `text` under `cfg`. Salvage
 /// failures (no usable header at all) simply mean "does not fire".
 fn fires(text: &str, code: &str, cfg: &Config) -> bool {
-    let Ok((trace, report)) = read_log_salvage(text.as_bytes()) else {
+    let Ok((trace, report)) = read_log(text.as_bytes(), &Mode::Salvage.into()) else {
         return false;
     };
     match code.as_bytes().first() {
@@ -261,7 +262,7 @@ pub fn shrink_log(
     // renumbering warnings. Otherwise keep the raw lines verbatim —
     // exactly the text the last successful probe tested.
     let raw = render(&kept);
-    let log = match read_log_salvage(raw.as_bytes()) {
+    let log = match read_log(raw.as_bytes(), &Mode::Salvage.into()) {
         Ok((t, _)) => {
             let canonical = to_log_string(&t);
             probes += 1;

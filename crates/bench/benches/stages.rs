@@ -69,7 +69,7 @@ fn bench_storage_and_diff(c: &mut Criterion) {
     group.bench_function("multifile_roundtrip", |b| {
         b.iter(|| {
             lsr_trace::multifile::write_split(&trace, &dir, "bench").unwrap();
-            lsr_trace::multifile::read_split(&dir, "bench").unwrap()
+            lsr_trace::multifile::read_split(&dir, "bench", &Default::default()).unwrap()
         });
     });
     let ls = extract(&trace, &Config::charm());

@@ -7,7 +7,7 @@
 
 use lsr_apps::{mergetree_mpi, MergeTreeParams};
 use lsr_bench::{banner, secs, timed, write_artifact};
-use lsr_trace::{logfmt, multifile, Dur};
+use lsr_trace::{logfmt, multifile, Dur, Mode, ReadOptions};
 use std::time::Duration;
 
 /// The seed parser, kept verbatim as the measured baseline: one `String`
@@ -321,8 +321,11 @@ fn main() {
     let reps = if lsr_bench::full_scale() { 30 } else { 10 };
     let (seed_trace, t_seed) =
         best(reps, || seed::read_log_unchecked(log.as_bytes()).expect("seed parses own output"));
-    let (stream_trace, t_stream) =
-        best(reps, || logfmt::read_log_unchecked(log.as_bytes()).expect("streaming parses output"));
+    let (stream_trace, t_stream) = best(reps, || {
+        logfmt::read_log(log.as_bytes(), &Mode::Unchecked.into())
+            .expect("streaming parses output")
+            .0
+    });
     assert_eq!(seed_trace, stream_trace, "both readers must agree on the same bytes");
     assert_eq!(stream_trace, trace, "round trip must be lossless");
     let (seed_mbs, stream_mbs) = (mbs(bytes, t_seed), mbs(bytes, t_stream));
@@ -345,7 +348,9 @@ fn main() {
     let ((seed_split, doc_bytes), t_seed_split) =
         best(split_reps, || seed::read_split(&dir, "mergetree1024").expect("seed reads split"));
     let (stream_split, t_stream_split) = best(split_reps, || {
-        multifile::read_split(&dir, "mergetree1024").expect("streaming reads split")
+        multifile::read_split(&dir, "mergetree1024", &ReadOptions::default())
+            .expect("streaming reads split")
+            .0
     });
     assert_eq!(seed_split, stream_split, "split readers must agree");
     let split_bytes: usize = std::fs::read_dir(&dir)

@@ -4,14 +4,14 @@
 //! into the corresponding table. Newtypes keep the index spaces from being
 //! mixed up while staying `Copy` and hashable with trivial cost.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $short:expr) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize,
         )]
         #[serde(transparent)]
         pub struct $name(pub u32);
@@ -95,7 +95,7 @@ id_type!(
 /// Whether a chare (or entry method) belongs to the application or to the
 /// runtime system. The paper keeps application and runtime partitions
 /// separate through most of phase-finding (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Kind {
     /// Application-level chare/entry: grouped by parent chare.
     Application,

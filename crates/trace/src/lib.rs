@@ -8,8 +8,9 @@
 //! entry methods, tasks (serial blocks), dependency events (sends and the
 //! receive that awoke each task), messages, and idle spans. Traces are
 //! constructed through [`TraceBuilder`], validated by [`validate()`], and
-//! can be round-tripped through a Projections-style text log
-//! ([`logfmt`]) or serde/JSON.
+//! round-tripped through a Projections-style text log, either as one
+//! document ([`logfmt`]) or as an `.sts` file plus one log per PE
+//! ([`multifile`]). Both readers take one [`ReadOptions`].
 //!
 //! ```
 //! use lsr_trace::{Kind, PeId, Time, TraceBuilder};
@@ -49,7 +50,7 @@ mod window;
 pub use builder::TraceBuilder;
 pub use ids::{ArrayId, ChareId, EntryId, EventId, Kind, MsgId, PeId, SigId, TaskId};
 pub use quality::QualityReport;
-pub use reader::{IngestCode, IngestDiagnostic, IngestReport, ParseError};
+pub use reader::{IngestCode, IngestDiagnostic, IngestReport, Mode, ParseError, ReadOptions};
 pub use record::{
     ArrayInfo, ChareInfo, CommPattern, EntryInfo, EventKind, EventRec, IdleRec, MsgRec, SigInfo,
     TaskRec,

@@ -2,20 +2,19 @@
 //!
 //! Charm++ ships a line-oriented log format consumed by Projections; we
 //! provide an equivalent so traces can be written by the simulators,
-//! stored, and re-read by the analysis independently of serde/JSON.
+//! stored, and re-read by the analysis.
 //!
 //! One record per line; the record tag comes first; names (which may
 //! contain spaces) always come last on their line.
 //!
 //! Parsing is handled by the streaming reader module: a
 //! single pass with zero-copy field splitting, order-independent record
-//! resolution, and an optional salvage mode ([`read_log_salvage`]) that
+//! resolution, and an optional salvage mode ([`Mode::Salvage`]) that
 //! skips malformed records and reports them as `I` diagnostics.
 
 pub use crate::reader::ParseError;
-use crate::reader::{read_single, IngestReport};
+use crate::reader::{IngestReport, Loader, Mode, ReadOptions, Section};
 use crate::trace::Trace;
-use crate::validate::validate_fast;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
@@ -89,78 +88,42 @@ pub fn to_log_string(trace: &Trace) -> String {
     String::from_utf8(out).expect("log format is ASCII")
 }
 
-/// Parses the text log format back into a validated [`Trace`].
-pub fn read_log<R: BufRead>(r: R) -> Result<Trace, ParseError> {
-    let trace = read_log_unchecked(r)?;
-    validate_fast(&trace).map_err(|e| ParseError {
-        file: None,
-        line: 0,
-        msg: format!("invalid trace: {e}"),
-    })?;
-    Ok(trace)
+/// Reads the text log format. Records may appear in any order: a `SEND`
+/// may precede its `TASK`, a `CHARE` its `ARRAY`; cross-references are
+/// resolved after the scan. `opts` chooses how strictly (see [`Mode`])
+/// and where the ingest counters go. The [`IngestReport`] lists what
+/// [`Mode::Salvage`] skipped; it is clean in the other modes.
+pub fn read_log<R: BufRead>(r: R, opts: &ReadOptions) -> Result<(Trace, IngestReport), ParseError> {
+    let salvage = opts.mode == Mode::Salvage;
+    let mut ld = Loader::new(salvage);
+    let saw = ld.scan(r, None, HEADER, &|_| format!("expected {HEADER:?}"), Section::Whole)?;
+    if !saw {
+        if !salvage {
+            return Err(ParseError::whole("empty input (missing header)"));
+        }
+        ld.file_diag(None, "empty input (missing header)".to_owned());
+    }
+    opts.finish(ld)
 }
 
-/// [`read_log`] without the final validation pass: accepts any
-/// syntactically well-formed log, even one whose records violate the
-/// structural invariants. For diagnostic tooling (`lsr lint`) that
-/// reports the violations itself instead of refusing the load.
-///
-/// Records may appear in any order: a `SEND` may precede its `TASK`, a
-/// `CHARE` its `ARRAY`. Cross-references are resolved after the scan.
-pub fn read_log_unchecked<R: BufRead>(r: R) -> Result<Trace, ParseError> {
-    read_single(r, false).map(|(t, _)| t)
-}
-
-/// Salvage-mode [`read_log`]: malformed records, duplicate ids, and
-/// dangling references are skipped (cascading through whatever
-/// depended on them) instead of fatal, and reported in the returned
-/// [`IngestReport`] as `I001`–`I006` diagnostics. The surviving tables
-/// are renumbered dense, so the result is referentially intact by
-/// construction — but it is *not* semantically validated; run
-/// `lsr lint` (or [`crate::validate()`]) if that matters.
-pub fn read_log_salvage<R: BufRead>(r: R) -> Result<(Trace, IngestReport), ParseError> {
-    read_single(r, true)
-}
-
-/// Parses a trace from an in-memory string.
+/// Parses a validated [`Trace`] from an in-memory string.
 pub fn from_log_str(s: &str) -> Result<Trace, ParseError> {
-    read_log(s.as_bytes())
+    read_log(s.as_bytes(), &ReadOptions::default()).map(|(t, _)| t)
 }
 
-/// [`read_log`] that also flushes the ingest tallies (bytes, lines,
-/// records — the `ingest.*` counter family) onto an observability
-/// recorder. A disabled recorder makes this identical to [`read_log`].
+// Checked and unchecked reads in the earlier one-function-per-mode
+// form, kept for callers that still use it.
+#[doc(hidden)]
 pub fn read_log_with<R: BufRead>(r: R, rec: &lsr_obs::Recorder) -> Result<Trace, ParseError> {
-    let (trace, report) = read_single(r, false)?;
-    report.flush_counters(rec);
-    validate_fast(&trace).map_err(|e| ParseError {
-        file: None,
-        line: 0,
-        msg: format!("invalid trace: {e}"),
-    })?;
-    Ok(trace)
+    read_log(r, &ReadOptions { mode: Mode::Checked, recorder: rec.clone() }).map(|(t, _)| t)
 }
 
-/// [`read_log_unchecked`] with ingest-counter flushing; see
-/// [`read_log_with`].
+#[doc(hidden)]
 pub fn read_log_unchecked_with<R: BufRead>(
     r: R,
     rec: &lsr_obs::Recorder,
 ) -> Result<Trace, ParseError> {
-    let (trace, report) = read_single(r, false)?;
-    report.flush_counters(rec);
-    Ok(trace)
-}
-
-/// [`read_log_salvage`] with ingest-counter flushing (including the
-/// `ingest.salvage.*` intervention tallies); see [`read_log_with`].
-pub fn read_log_salvage_with<R: BufRead>(
-    r: R,
-    rec: &lsr_obs::Recorder,
-) -> Result<(Trace, IngestReport), ParseError> {
-    let (trace, report) = read_single(r, true)?;
-    report.flush_counters(rec);
-    Ok((trace, report))
+    read_log(r, &ReadOptions { mode: Mode::Unchecked, recorder: rec.clone() }).map(|(t, _)| t)
 }
 
 #[cfg(test)]
@@ -303,7 +266,7 @@ mod tests {
     fn salvage_on_clean_input_matches_strict() {
         let tr = sample();
         let text = to_log_string(&tr);
-        let (back, rep) = read_log_salvage(text.as_bytes()).unwrap();
+        let (back, rep) = read_log(text.as_bytes(), &Mode::Salvage.into()).unwrap();
         assert!(rep.is_clean(), "{rep:?}");
         assert_eq!(back, from_log_str(&text).unwrap());
     }
@@ -313,7 +276,7 @@ mod tests {
         let tr = sample();
         let mut text = to_log_string(&tr);
         text.push_str("GARBAGE not a record\nTASK bogus\n");
-        let (back, rep) = read_log_salvage(text.as_bytes()).unwrap();
+        let (back, rep) = read_log(text.as_bytes(), &Mode::Salvage.into()).unwrap();
         assert_eq!(tr, back);
         assert_eq!(rep.skipped_records, 2);
         assert!(rep.diagnostics.iter().all(|d| d.code == IngestCode::MalformedRecord));
@@ -322,7 +285,7 @@ mod tests {
     #[test]
     fn salvage_keeps_first_of_duplicate_ids() {
         let text = "LSRTRACE 1\nPES 1\nARRAY 0 A first\nARRAY 0 A second\n";
-        let (tr, rep) = read_log_salvage(text.as_bytes()).unwrap();
+        let (tr, rep) = read_log(text.as_bytes(), &Mode::Salvage.into()).unwrap();
         assert_eq!(tr.arrays.len(), 1);
         assert_eq!(tr.arrays[0].name, "first");
         assert!(rep.diagnostics.iter().any(|d| d.code == IngestCode::DuplicateId));
@@ -335,7 +298,7 @@ mod tests {
         // too. TASK 0 survives untouched.
         let text = "LSRTRACE 1\nPES 1\nARRAY 0 A w\nCHARE 0 0 0 0\nENTRY 0 - - e\n\
                     TASK 0 0 0 0 0 5 -\nTASK 1 9 0 0 0 5 -\nSEND 0 1 1 0\nMSG 0 0 0 0 1 - -\n";
-        let (tr, rep) = read_log_salvage(text.as_bytes()).unwrap();
+        let (tr, rep) = read_log(text.as_bytes(), &Mode::Salvage.into()).unwrap();
         assert_eq!(tr.tasks.len(), 1);
         assert!(tr.events.is_empty());
         assert!(tr.msgs.is_empty());

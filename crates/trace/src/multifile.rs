@@ -11,12 +11,11 @@
 //!   their dependency events, messages *sent* from it, and idle spans.
 //!
 //! Ids are global, so merging is a deterministic sort; [`read_split`]
-//! reassembles the records in id order and returns a validated trace.
+//! reassembles the records in id order.
 
 use crate::logfmt::ParseError;
-use crate::reader::{IngestReport, Loader, Section};
+use crate::reader::{IngestReport, Loader, Mode, ReadOptions, Section};
 use crate::trace::Trace;
-use crate::validate::validate_fast;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
@@ -102,63 +101,19 @@ pub fn write_split(trace: &Trace, dir: &Path, base: &str) -> std::io::Result<usi
     Ok(trace.pe_count as usize + 1)
 }
 
-/// Reads a split trace written by [`write_split`] back into a
-/// validated [`Trace`], streaming each per-PE log through the record
-/// reader — no merged intermediate document is materialized, and every
-/// [`ParseError`] carries the file and line it came from.
-pub fn read_split(dir: &Path, base: &str) -> Result<Trace, ParseError> {
-    let (trace, _) = read_split_inner(dir, base, false)?;
-    validate_fast(&trace).map_err(|e| ParseError {
-        file: None,
-        line: 0,
-        msg: format!("invalid trace: {e}"),
-    })?;
-    Ok(trace)
-}
-
-/// Salvage-mode [`read_split`]: malformed records, bad headers, and
-/// unreadable per-PE logs are reported in the [`IngestReport`] instead
-/// of aborting the load (the `.sts` file itself must still open). The
-/// result is referentially intact but not semantically validated.
-pub fn read_split_salvage(dir: &Path, base: &str) -> Result<(Trace, IngestReport), ParseError> {
-    read_split_inner(dir, base, true)
-}
-
-/// [`read_split`] that also flushes the ingest tallies (the `ingest.*`
-/// counter family, summed over the `.sts` and every per-PE log) onto an
-/// observability recorder.
-pub fn read_split_with(
+/// Reads a split trace written by [`write_split`], streaming each
+/// per-PE log through the record reader — no merged intermediate
+/// document is materialized, and every [`ParseError`] carries the file
+/// and line it came from. `opts` works as for
+/// [`crate::logfmt::read_log`]; in [`Mode::Salvage`] bad headers and
+/// unreadable per-PE logs are reported too (the `.sts` file itself must
+/// still open), and the counters sum over every file.
+pub fn read_split(
     dir: &Path,
     base: &str,
-    rec: &lsr_obs::Recorder,
-) -> Result<Trace, ParseError> {
-    let (trace, report) = read_split_inner(dir, base, false)?;
-    report.flush_counters(rec);
-    validate_fast(&trace).map_err(|e| ParseError {
-        file: None,
-        line: 0,
-        msg: format!("invalid trace: {e}"),
-    })?;
-    Ok(trace)
-}
-
-/// [`read_split_salvage`] with ingest-counter flushing; see
-/// [`read_split_with`].
-pub fn read_split_salvage_with(
-    dir: &Path,
-    base: &str,
-    rec: &lsr_obs::Recorder,
+    opts: &ReadOptions,
 ) -> Result<(Trace, IngestReport), ParseError> {
-    let (trace, report) = read_split_inner(dir, base, true)?;
-    report.flush_counters(rec);
-    Ok((trace, report))
-}
-
-fn read_split_inner(
-    dir: &Path,
-    base: &str,
-    salvage: bool,
-) -> Result<(Trace, IngestReport), ParseError> {
+    let salvage = opts.mode == Mode::Salvage;
     let mut ld = Loader::new(salvage);
     let sts_name = format!("{base}.sts");
     let sts = File::open(dir.join(&sts_name)).map_err(|e| ParseError {
@@ -206,7 +161,7 @@ fn read_split_inner(
             }
         }
     }
-    ld.finish()
+    opts.finish(ld)
 }
 
 #[cfg(test)]
@@ -252,7 +207,7 @@ mod tests {
         let dir = tmp("roundtrip");
         let files = write_split(&tr, &dir, "run").unwrap();
         assert_eq!(files, 4, "sts + 3 PE logs");
-        let back = read_split(&dir, "run").unwrap();
+        let back = read_split(&dir, "run", &ReadOptions::default()).unwrap().0;
         assert_eq!(tr, back);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -277,7 +232,7 @@ mod tests {
         let dir = tmp("missing");
         write_split(&tr, &dir, "run").unwrap();
         std::fs::remove_file(dir.join("run.2.log")).unwrap();
-        let err = read_split(&dir, "run").unwrap_err();
+        let err = read_split(&dir, "run", &ReadOptions::default()).unwrap_err();
         assert!(err.to_string().contains("cannot read"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -290,7 +245,7 @@ mod tests {
         let path = dir.join("run.0.log");
         let content = std::fs::read_to_string(&path).unwrap().replace("LSRLOG 0", "LSRLOG 9");
         std::fs::write(&path, content).unwrap();
-        let err = read_split(&dir, "run").unwrap_err();
+        let err = read_split(&dir, "run", &ReadOptions::default()).unwrap_err();
         assert!(err.to_string().contains("bad log header"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -306,12 +261,12 @@ mod tests {
         let path = dir.join("run.1.log");
         let content = std::fs::read_to_string(&path).unwrap().replace("TASK 1 ", "TASK x ");
         std::fs::write(&path, content).unwrap();
-        let err = read_split(&dir, "run").unwrap_err();
+        let err = read_split(&dir, "run", &ReadOptions::default()).unwrap_err();
         assert_eq!(err.file.as_deref(), Some("run.1.log"), "{err}");
         assert!(err.line > 0, "{err}");
         assert!(err.to_string().contains("bad integer"), "{err}");
         // Salvage skips the record (and its dependents) instead.
-        let (back, rep) = read_split_salvage(&dir, "run").unwrap();
+        let (back, rep) = read_split(&dir, "run", &Mode::Salvage.into()).unwrap();
         assert!(back.tasks.len() < tr.tasks.len());
         assert!(rep.skipped_records > 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -322,7 +277,7 @@ mod tests {
         let tr = sample();
         let dir = tmp("salvage_clean");
         write_split(&tr, &dir, "run").unwrap();
-        let (back, rep) = read_split_salvage(&dir, "run").unwrap();
+        let (back, rep) = read_split(&dir, "run", &Mode::Salvage.into()).unwrap();
         assert!(rep.is_clean(), "{rep:?}");
         assert_eq!(tr, back);
         std::fs::remove_dir_all(&dir).ok();
@@ -334,7 +289,7 @@ mod tests {
         let dir = tmp("salvage_missing");
         write_split(&tr, &dir, "run").unwrap();
         std::fs::remove_file(dir.join("run.2.log")).unwrap();
-        let (back, rep) = read_split_salvage(&dir, "run").unwrap();
+        let (back, rep) = read_split(&dir, "run", &Mode::Salvage.into()).unwrap();
         // PE2's task (and the chain hanging off it) is gone, the rest
         // survives; the missing file is reported.
         assert!(back.tasks.len() < tr.tasks.len());

@@ -28,7 +28,7 @@ use crate::record::{
 };
 use crate::time::Time;
 use crate::trace::Trace;
-use crate::validate::MAX_PES;
+use crate::validate::{validate_fast, MAX_PES};
 use std::collections::HashMap;
 use std::io::BufRead;
 
@@ -46,7 +46,7 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    fn whole(msg: impl Into<String>) -> ParseError {
+    pub(crate) fn whole(msg: impl Into<String>) -> ParseError {
         ParseError { file: None, line: 0, msg: msg.into() }
     }
 }
@@ -56,12 +56,66 @@ impl std::fmt::Display for ParseError {
         match (&self.file, self.line) {
             (Some(name), 0) => write!(f, "{name}: {}", self.msg),
             (Some(name), n) => write!(f, "{name}:{n}: {}", self.msg),
+            (None, 0) => f.write_str(&self.msg),
             (None, n) => write!(f, "line {n}: {}", self.msg),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// How strictly a trace is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Any malformed record is a [`ParseError`], and the loaded trace
+    /// must pass [`crate::validate_fast`].
+    #[default]
+    Checked,
+    /// Like `Checked` but without the final validation pass: any
+    /// syntactically well-formed input loads, even one whose records
+    /// violate the structural invariants. For diagnostic tooling
+    /// (`lsr lint`) that reports the violations itself.
+    Unchecked,
+    /// Malformed records, duplicate ids, dangling references and (for
+    /// split traces) unreadable per-PE logs are skipped instead of
+    /// fatal, cascading through whatever depended on them, and reported
+    /// in the [`IngestReport`] as `I001`–`I006` diagnostics. The
+    /// surviving tables are renumbered dense, so the result is
+    /// referentially intact by construction, but it is *not*
+    /// semantically validated.
+    Salvage,
+}
+
+/// How [`crate::logfmt::read_log`] and [`crate::multifile::read_split`]
+/// read a trace.
+#[derive(Debug, Clone, Default)]
+pub struct ReadOptions {
+    /// Strictness; see [`Mode`].
+    pub mode: Mode,
+    /// Receives the ingest tallies (the `ingest.*` counter family; see
+    /// `docs/observability.md`). Disabled by default.
+    pub recorder: lsr_obs::Recorder,
+}
+
+impl From<Mode> for ReadOptions {
+    fn from(mode: Mode) -> ReadOptions {
+        ReadOptions { mode, recorder: lsr_obs::Recorder::disabled() }
+    }
+}
+
+impl ReadOptions {
+    /// Finishes a read: resolves the loader's tables, flushes the
+    /// ingest counters (before validation, so a refused trace is still
+    /// counted) and, in [`Mode::Checked`], validates the result.
+    pub(crate) fn finish(&self, ld: Loader) -> Result<(Trace, IngestReport), ParseError> {
+        let (trace, report) = ld.finish()?;
+        report.flush_counters(&self.recorder);
+        if self.mode == Mode::Checked {
+            validate_fast(&trace).map_err(|e| ParseError::whole(format!("invalid trace: {e}")))?;
+        }
+        Ok((trace, report))
+    }
+}
 
 /// The ingestion-diagnostic family (`I` codes) produced by salvage
 /// mode. Stable codes, documented in `docs/lints.md`.
@@ -1326,19 +1380,20 @@ fn compact<T>(
     (out, map)
 }
 
-/// Reads a single-document log through the streaming loader.
-pub(crate) fn read_single<R: BufRead>(
-    r: R,
-    salvage: bool,
-) -> Result<(Trace, IngestReport), ParseError> {
-    let header = crate::logfmt::HEADER;
-    let mut ld = Loader::new(salvage);
-    let saw = ld.scan(r, None, header, &|_| format!("expected {header:?}"), Section::Whole)?;
-    if !saw {
-        if !salvage {
-            return Err(ParseError::whole("empty input (missing header)"));
-        }
-        ld.file_diag(None, "empty input (missing header)".to_owned());
+#[cfg(test)]
+mod tests {
+    use super::ParseError;
+
+    #[test]
+    fn parse_error_display_names_only_the_location_it_has() {
+        let at = |file: Option<&str>, line| ParseError {
+            file: file.map(str::to_owned),
+            line,
+            msg: "boom".to_owned(),
+        };
+        assert_eq!(at(Some("run.1.log"), 7).to_string(), "run.1.log:7: boom");
+        assert_eq!(at(Some("run.sts"), 0).to_string(), "run.sts: boom");
+        assert_eq!(at(None, 3).to_string(), "line 3: boom");
+        assert_eq!(at(None, 0).to_string(), "boom");
     }
-    ld.finish()
 }

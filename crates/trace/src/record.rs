@@ -13,12 +13,12 @@
 
 use crate::ids::{ArrayId, ChareId, EntryId, EventId, Kind, MsgId, PeId, SigId, TaskId};
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Metadata for a chare array (an indexed collection of chares) or a
 /// runtime group (one chare per PE).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ArrayInfo {
     /// This array's id.
     pub id: ArrayId,
@@ -29,7 +29,7 @@ pub struct ArrayInfo {
 }
 
 /// Metadata for one chare.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChareInfo {
     /// This chare's id.
     pub id: ChareId,
@@ -45,7 +45,7 @@ pub struct ChareInfo {
 }
 
 /// Metadata for an entry-method type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EntryInfo {
     /// This entry method's id.
     pub id: EntryId,
@@ -59,7 +59,6 @@ pub struct EntryInfo {
     /// (e.g. `MPI_Allreduce`). Tracing frameworks record this (paper
     /// §7.1: collectives are "represented as single calls"); the
     /// analysis merges each collective instance into one phase.
-    #[serde(default)]
     pub collective: bool,
 }
 
@@ -71,7 +70,7 @@ pub struct EntryInfo {
 /// event is recorded. The static skeleton analysis (`lsr-model`)
 /// interprets them; the event stream never needs to be consulted to do
 /// so.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CommPattern {
     /// Point-to-point within an index neighborhood: a chare at index
     /// `i` may only address indices `j` with `|i - j| <= radius`.
@@ -115,7 +114,7 @@ impl fmt::Display for CommPattern {
 /// [`crate::TraceBuilder::build`] derives them from the recorded
 /// messages when none were declared explicitly, the way a tracing
 /// framework derives its registration table at startup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SigInfo {
     /// This signature's id.
     pub id: SigId,
@@ -145,7 +144,7 @@ impl SigInfo {
 }
 
 /// What a dependency event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EventKind {
     /// The receive that awoke this task. `msg` is `None` for spontaneous
     /// tasks (e.g. the program's bootstrap task) that have no recorded
@@ -177,7 +176,7 @@ impl EventKind {
 }
 
 /// One dependency event inside a task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EventRec {
     /// This event's id.
     pub id: EventId,
@@ -204,7 +203,7 @@ impl EventRec {
 }
 
 /// One execution of an entry method: a serial block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TaskRec {
     /// This task's id.
     pub id: TaskId,
@@ -238,7 +237,7 @@ impl TaskRec {
 }
 
 /// A message: the edge from a send event to the task it awakens.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MsgRec {
     /// This message's id.
     pub id: MsgId,
@@ -258,7 +257,7 @@ pub struct MsgRec {
 }
 
 /// A span of recorded idle time on a PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IdleRec {
     /// The idle PE.
     pub pe: PeId,

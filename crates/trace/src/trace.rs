@@ -3,14 +3,14 @@
 use crate::ids::{ArrayId, ChareId, EntryId, EventId, MsgId, PeId, SigId, TaskId};
 use crate::record::{ArrayInfo, ChareInfo, EntryInfo, EventRec, IdleRec, MsgRec, SigInfo, TaskRec};
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete event trace of one run.
 ///
 /// All tables are indexed densely by the corresponding id. Construct via
 /// [`crate::TraceBuilder`]; the builder validates the cross-references
 /// (see [`crate::validate()`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Trace {
     /// Number of PEs in the run.
     pub pe_count: u32,
@@ -20,9 +20,8 @@ pub struct Trace {
     pub chares: Vec<ChareInfo>,
     /// Entry-method metadata.
     pub entries: Vec<EntryInfo>,
-    /// Declared message-type signatures (declaration layer; defaults
-    /// to empty for traces recorded before signatures existed).
-    #[serde(default)]
+    /// Declared message-type signatures (declaration layer; empty when
+    /// the trace declares none).
     pub sigs: Vec<SigInfo>,
     /// Serial blocks (entry-method executions).
     pub tasks: Vec<TaskRec>,

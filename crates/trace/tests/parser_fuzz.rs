@@ -2,8 +2,8 @@
 //! every malformed document is a clean `ParseError` (strict) or a
 //! repaired trace plus `I` diagnostics (salvage).
 
-use lsr_trace::logfmt::{from_log_str, read_log_salvage, read_log_unchecked};
-use lsr_trace::{EventKind, Trace};
+use lsr_trace::logfmt::{from_log_str, read_log};
+use lsr_trace::{EventKind, Mode, Trace};
 use proptest::prelude::*;
 
 /// Every id a salvaged trace hands out must resolve: salvage promises
@@ -95,8 +95,8 @@ proptest! {
     /// strict reader nor salvage mode may panic on any input.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = read_log_unchecked(&bytes[..]);
-        let _ = read_log_salvage(&bytes[..]);
+        let _ = read_log(&bytes[..], &Mode::Unchecked.into());
+        let _ = read_log(&bytes[..], &Mode::Salvage.into());
     }
 
     /// Arbitrary bytes appended after a valid header: the likeliest
@@ -105,8 +105,8 @@ proptest! {
     fn corrupted_tail_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let mut doc = b"LSRTRACE 1\n".to_vec();
         doc.extend_from_slice(&bytes);
-        let _ = read_log_unchecked(&doc[..]);
-        if let Ok((tr, _)) = read_log_salvage(&doc[..]) {
+        let _ = read_log(&doc[..], &Mode::Unchecked.into());
+        if let Ok((tr, _)) = read_log(&doc[..], &Mode::Salvage.into()) {
             assert_referentially_intact(&tr);
         }
     }
@@ -141,7 +141,7 @@ proptest! {
             }
             doc.push('\n');
         }
-        let (tr, _rep) = read_log_salvage(doc.as_bytes())
+        let (tr, _rep) = read_log(doc.as_bytes(), &Mode::Salvage.into())
             .expect("salvage never fails on headered text input");
         assert_referentially_intact(&tr);
     }

@@ -8,7 +8,7 @@
 
 use lsr::apps::{lulesh_charm, LuleshParams};
 use lsr::core::{extract, Config};
-use lsr::trace::{logfmt, QualityReport, TraceStats};
+use lsr::trace::{logfmt, QualityReport, ReadOptions, TraceStats};
 
 fn main() {
     // 1. Produce a trace (in reality: collected from a traced run).
@@ -25,7 +25,8 @@ fn main() {
 
     // 3. Read it back, as an analysis tool would.
     let file = std::fs::File::open(&path).expect("open file");
-    let loaded = logfmt::read_log(std::io::BufReader::new(file)).expect("parse log");
+    let (loaded, _) = logfmt::read_log(std::io::BufReader::new(file), &ReadOptions::default())
+        .expect("parse log");
     assert_eq!(trace, loaded);
     println!("\ntrace statistics:\n{}", TraceStats::compute(&loaded));
 

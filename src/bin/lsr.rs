@@ -31,7 +31,9 @@ use lsr::core::{try_extract, Config, LogicalStructure, OrderingPolicy};
 use lsr::metrics::{
     idle_experienced, per_pe_totals, CriticalPath, DifferentialDuration, Imbalance,
 };
-use lsr::trace::{logfmt, QualityReport, Trace, TraceStats};
+use lsr::trace::{
+    logfmt, multifile, IngestReport, Mode, QualityReport, ReadOptions, Trace, TraceStats,
+};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -301,16 +303,16 @@ fn config_from(opts: &std::collections::HashMap<String, String>, obs: &Obs) -> C
 }
 
 /// Reads a trace in either layout (`<base>.sts` selects the multi-file
-/// per-PE layout). With `--salvage`, malformed records are skipped
-/// instead of aborting and the ingestion findings come back alongside
-/// the trace for the caller to surface.
+/// per-PE layout). In [`Mode::Salvage`] malformed records are skipped
+/// instead of aborting and the ingestion findings come back in the
+/// report for the caller to surface; in the other modes it is clean.
 fn load_report(
     path: &str,
-    opts: &std::collections::HashMap<String, String>,
+    mode: Mode,
     rec: &lsr::obs::Recorder,
-) -> Result<(Trace, Option<lsr::trace::IngestReport>), String> {
+) -> Result<(Trace, IngestReport), String> {
     let _sp = rec.span("ingest");
-    let salvage = opts.contains_key("salvage");
+    let read = ReadOptions { mode, recorder: rec.clone() };
     if let Some(base) = path.strip_suffix(".sts") {
         let p = std::path::Path::new(base);
         let dir =
@@ -319,27 +321,12 @@ fn load_report(
         if !std::path::Path::new(path).exists() {
             return Err(format!("cannot open {path}: not found"));
         }
-        return if salvage {
-            lsr::trace::multifile::read_split_salvage_with(dir, stem, rec)
-                .map(|(t, r)| (t, Some(r)))
-                .map_err(|e| format!("cannot parse split trace {path}: {e}"))
-        } else {
-            lsr::trace::multifile::read_split_with(dir, stem, rec)
-                .map(|t| (t, None))
-                .map_err(|e| format!("cannot parse split trace {path}: {e}"))
-        };
+        return multifile::read_split(dir, stem, &read)
+            .map_err(|e| format!("cannot parse split trace {path}: {e}"));
     }
     let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let r = std::io::BufReader::new(f);
-    if salvage {
-        logfmt::read_log_salvage_with(r, rec)
-            .map(|(t, rep)| (t, Some(rep)))
-            .map_err(|e| format!("cannot parse {path}: {e}"))
-    } else {
-        logfmt::read_log_with(r, rec)
-            .map(|t| (t, None))
-            .map_err(|e| format!("cannot parse {path}: {e}"))
-    }
+    logfmt::read_log(std::io::BufReader::new(f), &read)
+        .map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn load(
@@ -347,18 +334,17 @@ fn load(
     opts: &std::collections::HashMap<String, String>,
     rec: &lsr::obs::Recorder,
 ) -> Result<Trace, String> {
-    let (trace, report) = load_report(path, opts, rec)?;
-    if let Some(rep) = report {
-        // Salvage findings go to stderr so stdout stays parseable.
-        for d in &rep.diagnostics {
-            eprintln!("{d}");
-        }
-        if rep.suppressed > 0 {
-            eprintln!("({} more finding(s) suppressed)", rep.suppressed);
-        }
-        if !rep.is_clean() {
-            eprintln!("salvage: {}", rep.summary());
-        }
+    let mode = if opts.contains_key("salvage") { Mode::Salvage } else { Mode::Checked };
+    let (trace, rep) = load_report(path, mode, rec)?;
+    // Salvage findings go to stderr so stdout stays parseable.
+    for d in &rep.diagnostics {
+        eprintln!("{d}");
+    }
+    if rep.suppressed > 0 {
+        eprintln!("({} more finding(s) suppressed)", rep.suppressed);
+    }
+    if !rep.is_clean() {
+        eprintln!("salvage: {}", rep.summary());
     }
     Ok(trace)
 }
@@ -834,25 +820,22 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     let (pos, opts) = parse_opts(args)?;
     let obs = Obs::from_opts(&opts);
     let path = pos.first().ok_or("missing trace file argument")?;
-    // Lint wants to diagnose broken files, so single-file logs load
-    // without the reader's validation pass (the T lints re-run it with
-    // coded findings). Windowing and the split layout rewrite the
-    // trace on load, so those paths keep the strict reader. With
-    // `--salvage` the ingestion findings are merged into the report
-    // (I codes) instead of being printed to stderr.
+    // Lint wants to diagnose broken files, so traces of either layout
+    // load without the reader's validation pass (the T lints re-run it
+    // with coded findings). Windowing rewrites the trace on load, so a
+    // windowed lint keeps the strict reader. With `--salvage` the
+    // ingestion findings are merged into the report (I codes) instead
+    // of being printed to stderr.
     let windowed = opts.contains_key("from") || opts.contains_key("to");
-    let (trace, ingest) = if opts.contains_key("salvage") {
-        let (t, rep) = load_report(path, &opts, &obs.rec)?;
-        (apply_window(t, &opts)?, rep)
-    } else if windowed || path.ends_with(".sts") {
-        (load_windowed(path, &opts, &obs.rec)?, None)
+    let mode = if opts.contains_key("salvage") {
+        Mode::Salvage
+    } else if windowed {
+        Mode::Checked
     } else {
-        let _sp = obs.rec.span("ingest");
-        let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let t = logfmt::read_log_unchecked_with(std::io::BufReader::new(f), &obs.rec)
-            .map_err(|e| format!("cannot parse {path}: {e}"))?;
-        (t, None)
+        Mode::Unchecked
     };
+    let (trace, ingest) = load_report(path, mode, &obs.rec)?;
+    let trace = apply_window(trace, &opts)?;
     let mut lint_opts = lsr::lint::LintOptions::with_config(config_from(&opts, &obs));
     if let Some(v) = opts.get("limit") {
         lint_opts.limit = v.parse().map_err(|_| format!("--limit wants a number, got {v:?}"))?;
@@ -863,11 +846,9 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     let sp_lint = obs.rec.span("lint");
     let mut report = lsr::lint::lint_trace(&trace, &lint_opts);
     drop(sp_lint);
-    if let Some(rep) = &ingest {
-        let mut merged = lsr::lint::ingest_diagnostics(rep);
-        merged.append(&mut report.diagnostics);
-        report.diagnostics = merged;
-    }
+    let mut merged = lsr::lint::ingest_diagnostics(&ingest);
+    merged.append(&mut report.diagnostics);
+    report.diagnostics = merged;
     if opts.contains_key("json") {
         println!("{}", report.to_json());
     } else {

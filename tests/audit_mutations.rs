@@ -4,6 +4,8 @@
 //! `StructureVerifier::with_limit` truncation contract (deterministic,
 //! reported via `Truncated`/S007 — never silent).
 
+mod support;
+
 use lsr_audit::{audit, audit_extract, AuditOptions};
 use lsr_core::{
     try_extract_with_provenance, Config, InvariantViolation, LogicalStructure, MergeProvenance,
@@ -11,31 +13,6 @@ use lsr_core::{
 };
 use lsr_trace::{TaskId, Trace};
 use std::collections::HashSet;
-
-/// All eleven generator presets, each with the extraction configuration
-/// its CLI invocation uses (kept in sync with `tests/obs_properties.rs`).
-fn presets() -> Vec<(&'static str, Trace, Config)> {
-    use lsr_apps::*;
-    let charm = Config::charm();
-    let mpi = Config::mpi();
-    vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
-        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
-        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
-        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
-        (
-            "mergetree",
-            mergetree_mpi(&MergeTreeParams::small()),
-            mpi.clone().with_process_order(false),
-        ),
-        ("bt", bt_mpi(&BtParams::fig1()), mpi),
-        ("divcon", divcon_charm(&DivConParams::small()), charm),
-    ]
-}
 
 /// The shared corruption substrate: jacobi-fig8 under the Charm++
 /// configuration, with its certificate and structure.
@@ -69,7 +46,7 @@ fn task_phases(tr: &Trace, ls: &LogicalStructure) -> Vec<Vec<u32>> {
 
 #[test]
 fn all_presets_certify_clean() {
-    for (name, tr, cfg) in presets() {
+    for (name, tr, cfg) in support::presets() {
         let (ls, report) = audit_extract(&tr, &cfg, AuditOptions::default())
             .unwrap_or_else(|e| panic!("{name}: extraction must succeed: {e}"));
         assert!(

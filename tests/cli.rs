@@ -273,6 +273,58 @@ fn lint_passes_clean_traces_and_flags_corrupt_ones() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Lint diagnoses a corrupt trace the same way in either layout: the
+/// split reader loads unchecked too, instead of refusing the `.sts`.
+#[test]
+fn lint_reports_the_same_codes_for_a_corrupt_trace_in_either_layout() {
+    let dir = temp_dir("lint_layouts");
+    assert!(lsr(&["gen", "jacobi-fig8", "--out", "j.lsrtrace"], &dir).status.success());
+    assert!(lsr(&["gen", "jacobi-fig8", "--out", "s.sts"], &dir).status.success());
+    // Invert task 0's span ("TASK <id> <chare> <entry> <pe> <begin> <end>
+    // <sink>") wherever it lives: the single log or one per-PE log.
+    let mut inverted = 0;
+    for entry in std::fs::read_dir(&dir).expect("list dir") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read trace file");
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let mut f: Vec<&str> = l.split_whitespace().collect();
+                if f.len() >= 8 && f[..2] == ["TASK", "0"] {
+                    inverted += 1;
+                    f[5] = "5000";
+                    f.join(" ")
+                } else {
+                    l.to_owned()
+                }
+            })
+            .collect();
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write trace file");
+    }
+    assert_eq!(inverted, 2, "task 0 must appear once per layout");
+    let codes = |file: &str| -> Vec<String> {
+        let out = lsr(&["lint", file, "--json"], &dir);
+        let text = stdout(&out);
+        let v: serde::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
+            panic!("{file}: lint JSON parses: {e}\n{}", String::from_utf8_lossy(&out.stderr))
+        });
+        let Some(serde::Value::Arr(diags)) = v.get("diagnostics") else {
+            panic!("{file}: diagnostics must be an array: {text}")
+        };
+        diags
+            .iter()
+            .map(|d| match d.get("code") {
+                Some(serde::Value::Str(c)) => c.clone(),
+                other => panic!("{file}: diagnostic without a code: {other:?}"),
+            })
+            .collect()
+    };
+    let single = codes("j.lsrtrace");
+    assert!(single.iter().any(|c| c.starts_with('T')), "{single:?}");
+    assert_eq!(single, codes("s.sts"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn gen_without_out_uses_preset_name() {
     let dir = temp_dir("gendefault");

@@ -8,39 +8,13 @@
 mod support;
 
 use lsr_core::{try_extract_with_provenance, Config, ExtractError};
-use lsr_trace::Trace;
 use proptest::prelude::*;
-
-/// All eleven generator presets with the configuration their CLI
-/// invocation uses (mirrors `obs_properties::presets`).
-fn presets() -> Vec<(&'static str, Trace, Config)> {
-    use lsr_apps::*;
-    let charm = Config::charm();
-    let mpi = Config::mpi();
-    vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
-        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
-        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
-        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
-        (
-            "mergetree",
-            mergetree_mpi(&MergeTreeParams::small()),
-            mpi.clone().with_process_order(false),
-        ),
-        ("bt", bt_mpi(&BtParams::fig1()), mpi),
-        ("divcon", divcon_charm(&DivConParams::small()), charm),
-    ]
-}
 
 /// Every preset: two runs agree on structure and provenance, byte for
 /// byte.
 #[test]
 fn presets_are_run_to_run_deterministic() {
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         let first =
             try_extract_with_provenance(&trace, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let second =

@@ -16,7 +16,8 @@ use lsr_core::{try_extract, Config};
 use lsr_fuzz::{emit, Backend, Motif, Scenario};
 use lsr_lint::{analyze_races, model_diagnostics};
 use lsr_model::SkeletonModel;
-use lsr_trace::logfmt::{read_log_salvage, to_log_string};
+use lsr_trace::logfmt::{read_log, to_log_string};
+use lsr_trace::Mode;
 
 fn scenario(seed: u64, x: u32, y: u32, rounds: u32, motifs: Vec<Motif>) -> Scenario {
     Scenario { id: 0, seed, x, y, pes: 3, rounds, motifs }
@@ -28,7 +29,7 @@ fn log_of(sc: &Scenario, backend: Backend) -> String {
 
 /// All `M` codes (any severity) the skeleton model raises on `log`.
 fn model_codes(log: &str, cfg: &Config) -> Vec<String> {
-    let (tr, _) = read_log_salvage(log.as_bytes()).expect("log parses");
+    let (tr, _) = read_log(log.as_bytes(), &Mode::Salvage.into()).expect("log parses");
     let cfg = cfg.clone().with_verify(false);
     let ls = try_extract(&tr, &cfg).expect("log extracts");
     let model = SkeletonModel::build(&tr.declarations());
@@ -38,7 +39,7 @@ fn model_codes(log: &str, cfg: &Config) -> Vec<String> {
 
 /// All `R` codes the race analysis raises on `log`.
 fn race_codes(log: &str, cfg: &Config) -> Vec<String> {
-    let (tr, _) = read_log_salvage(log.as_bytes()).expect("log parses");
+    let (tr, _) = read_log(log.as_bytes(), &Mode::Salvage.into()).expect("log parses");
     let cfg = cfg.clone().with_verify(false);
     let report = analyze_races(&tr, &cfg, 256).expect("acyclic");
     report.diagnostics.iter().map(|d| d.code.to_string()).collect()

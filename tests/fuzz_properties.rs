@@ -8,8 +8,8 @@
 //! salvage guarantees ddmin minimization depends on.
 
 use lsr_fuzz::{emit, Backend, Motif, Scenario};
-use lsr_trace::logfmt::{from_log_str, read_log_salvage, to_log_string};
-use lsr_trace::{multifile, validate, EventKind, Trace};
+use lsr_trace::logfmt::{from_log_str, read_log, to_log_string};
+use lsr_trace::{multifile, validate, EventKind, Mode, ReadOptions, Trace};
 use proptest::prelude::*;
 
 /// Every id a salvaged trace hands out must resolve, and every matched
@@ -99,7 +99,7 @@ proptest! {
             // to the same bytes as the single document.
             let base = format!("fz{}", b);
             multifile::write_split(&tr, &dir, &base).expect("write_split");
-            let back = multifile::read_split(&dir, &base).expect("read_split");
+            let back = multifile::read_split(&dir, &base, &ReadOptions::default()).expect("read_split").0;
             prop_assert_eq!(&tr, &back, "{} split roundtrip", b);
             prop_assert_eq!(
                 to_log_string(&back),
@@ -133,7 +133,7 @@ proptest! {
             .map(|(_, l)| l)
             .collect();
         let doc = format!("{header}\n{}\n", kept.join("\n"));
-        let (tr, _rep) = read_log_salvage(doc.as_bytes()).expect("salvage never fails");
+        let (tr, _rep) = read_log(doc.as_bytes(), &Mode::Salvage.into()).expect("salvage never fails");
         assert_salvage_intact(&tr);
     }
 
@@ -160,7 +160,7 @@ proptest! {
                 );
             }
         }
-        if let Ok((tr, _)) = read_log_salvage(&bytes[..]) {
+        if let Ok((tr, _)) = read_log(&bytes[..], &Mode::Salvage.into()) {
             assert_salvage_intact(&tr);
         }
     }

@@ -19,30 +19,6 @@ use lsr_lint::{
 };
 use lsr_trace::{TaskId, Trace};
 use proptest::prelude::*;
-/// All eleven generator presets with their CLI extraction
-/// configurations (mirrors `tests/obs_properties.rs`).
-fn presets() -> Vec<(&'static str, Trace, Config)> {
-    use lsr_apps::*;
-    let charm = Config::charm();
-    let mpi = Config::mpi();
-    vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
-        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
-        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
-        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
-        (
-            "mergetree",
-            mergetree_mpi(&MergeTreeParams::small()),
-            mpi.clone().with_process_order(false),
-        ),
-        ("bt", bt_mpi(&BtParams::fig1()), mpi),
-        ("divcon", divcon_charm(&DivConParams::small()), charm),
-    ]
-}
 
 /// The modes a preset's CLI surface can reach: the schedule relation
 /// (`lsr lint`) and its configuration's causal relation (`lsr races`).
@@ -120,7 +96,7 @@ fn assert_race_pairs_match_closure(name: &str, trace: &Trace, cfg: &Config) {
 #[test]
 fn engines_agree_on_all_pairs_of_every_preset() {
     let mut searches = 0;
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         for mode in modes(&cfg) {
             searches += assert_matches_closure(name, &trace, mode);
         }
@@ -132,7 +108,7 @@ fn engines_agree_on_all_pairs_of_every_preset() {
 /// the closure leaves concurrent.
 #[test]
 fn race_reports_are_identical_across_engines_on_every_preset() {
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         assert_race_pairs_match_closure(name, &trace, &cfg);
     }
 }
@@ -207,7 +183,7 @@ fn corrupted_report(trace: &Trace, cfg: &Config, c: HbCorruption) -> Option<Stri
 /// uncorrupted one — the suite must be able to catch every corruption
 /// kind, not shrug it off.
 fn assert_corruption_caught(kind: &str, sites: impl Fn(&Trace) -> Vec<HbCorruption>) {
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         let baseline = baseline_report(&trace, &cfg);
         for c in sites(&trace) {
             if let Some(report) = corrupted_report(&trace, &cfg, c) {

@@ -4,34 +4,11 @@
 //! mutation of the declarations (or of the trace) must trip exactly the
 //! intended M code.
 
+mod support;
+
 use lsr_core::Config;
 use lsr_model::{check, conforms, Finding, SkeletonModel};
 use lsr_trace::{CommPattern, Kind, PeId, SigId, SigInfo, Time, Trace, TraceBuilder};
-
-/// All eleven generator presets, each with the extraction configuration
-/// its CLI invocation uses (kept in sync with `tests/obs_properties.rs`).
-fn presets() -> Vec<(&'static str, Trace, Config)> {
-    use lsr_apps::*;
-    let charm = Config::charm();
-    let mpi = Config::mpi();
-    vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
-        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
-        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
-        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
-        (
-            "mergetree",
-            mergetree_mpi(&MergeTreeParams::small()),
-            mpi.clone().with_process_order(false),
-        ),
-        ("bt", bt_mpi(&BtParams::fig1()), mpi),
-        ("divcon", divcon_charm(&DivConParams::small()), charm),
-    ]
-}
 
 fn codes(tr: &Trace, cfg: &Config) -> Vec<&'static str> {
     let ls = lsr_core::extract(tr, cfg);
@@ -53,7 +30,7 @@ fn substrate() -> (Trace, Config) {
 
 #[test]
 fn all_presets_conform_to_their_own_skeleton() {
-    for (name, tr, cfg) in presets() {
+    for (name, tr, cfg) in support::presets() {
         let ls = lsr_core::extract(&tr, &cfg);
         let model = SkeletonModel::build(&tr.declarations());
         assert!(!model.degraded, "{name}: generated declarations are complete");
@@ -69,7 +46,7 @@ fn all_presets_conform_to_their_own_skeleton() {
 /// sees the declaration tables.
 #[test]
 fn model_is_unchanged_when_the_event_stream_is_dropped() {
-    for (name, tr, _) in presets() {
+    for (name, tr, _) in support::presets() {
         let full = SkeletonModel::build(&tr.declarations());
         let mut stripped = tr.clone();
         stripped.tasks.clear();

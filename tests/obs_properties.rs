@@ -5,36 +5,9 @@
 
 mod support;
 
-use lsr_core::{try_extract, Config, EXTRACT_STAGE_SPANS};
+use lsr_core::{try_extract, EXTRACT_STAGE_SPANS};
 use lsr_obs::{Profile, Recorder};
-use lsr_trace::Trace;
 use proptest::prelude::*;
-
-/// All eleven generator presets, each with the extraction configuration
-/// its CLI invocation uses (`--mpi` for the MPI apps, plus
-/// `--no-process-order` for the merge tree).
-fn presets() -> Vec<(&'static str, Trace, Config)> {
-    use lsr_apps::*;
-    let charm = Config::charm();
-    let mpi = Config::mpi();
-    vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
-        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
-        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
-        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
-        (
-            "mergetree",
-            mergetree_mpi(&MergeTreeParams::small()),
-            mpi.clone().with_process_order(false),
-        ),
-        ("bt", bt_mpi(&BtParams::fig1()), mpi),
-        ("divcon", divcon_charm(&DivConParams::small()), charm),
-    ]
-}
 
 /// Asserts the structural well-formedness the mutation tests rely on:
 /// validation passes, every span is closed, and the stage spans under
@@ -76,7 +49,7 @@ fn assert_well_formed(name: &str, p: &Profile) {
 /// the profile is well-formed with the core counters populated.
 #[test]
 fn enabled_recorder_never_changes_extraction_output() {
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         let off = try_extract(&trace, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let rec = Recorder::enabled();
         let on = try_extract(&trace, &cfg.with_recorder(rec.clone()))
@@ -98,7 +71,7 @@ fn enabled_recorder_never_changes_extraction_output() {
 /// agree exactly (spans differ only in timing).
 #[test]
 fn counters_are_deterministic_per_preset() {
-    for (name, trace, cfg) in presets() {
+    for (name, trace, cfg) in support::presets() {
         let rec1 = Recorder::enabled();
         let rec2 = Recorder::enabled();
         try_extract(&trace, &cfg.clone().with_recorder(rec1.clone())).unwrap();

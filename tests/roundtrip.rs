@@ -1,12 +1,14 @@
 //! Serialization round trips on real application traces: the
-//! Projections-style text log and serde JSON must both reproduce the
-//! trace exactly, and the recovered structure must be identical.
+//! Projections-style text log, as one document or split per PE, must
+//! reproduce the trace exactly under every read mode, and the recovered
+//! structure must be identical.
 
 mod support;
 
 use lsr_apps::{jacobi2d, lulesh_mpi, JacobiParams, LuleshParams};
 use lsr_core::{extract, Config};
-use lsr_trace::logfmt;
+use lsr_obs::Recorder;
+use lsr_trace::{logfmt, multifile, Mode, ReadOptions};
 
 #[test]
 fn text_log_roundtrip_preserves_app_traces() {
@@ -20,15 +22,6 @@ fn text_log_roundtrip_preserves_app_traces() {
         let back = logfmt::from_log_str(&text).expect("parse back");
         assert_eq!(tr, back);
     }
-}
-
-#[test]
-fn json_roundtrip_preserves_traces() {
-    let tr = jacobi2d(&JacobiParams::fig15());
-    let json = serde_json::to_string(&tr).expect("serialize");
-    let back: lsr_trace::Trace = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(tr, back);
-    assert!(lsr_trace::validate(&back).is_ok());
 }
 
 #[test]
@@ -53,39 +46,46 @@ fn log_files_survive_disk_io() {
         logfmt::write_log(&tr, std::io::BufWriter::new(f)).unwrap();
     }
     let f = std::fs::File::open(&path).unwrap();
-    let back = logfmt::read_log(std::io::BufReader::new(f)).unwrap();
+    let (back, _) = logfmt::read_log(std::io::BufReader::new(f), &ReadOptions::default()).unwrap();
     assert_eq!(tr, back);
     std::fs::remove_file(&path).ok();
 }
 
-/// Every `lsr gen` preset must survive both serializations — the
-/// single-document log and the Projections-style split layout — and,
-/// because the reader is order-independent, a document with its record
-/// lines reversed must parse to the identical trace. Salvage mode on
-/// clean input must be a no-op with an empty report.
+/// Ingest is one table: every `lsr gen` preset × {single document,
+/// split `.sts` + per-PE logs} × every [`Mode`] × {disabled, enabled
+/// recorder} must read back the identical trace with a clean report,
+/// and an enabled recorder must receive the report's `ingest.bytes`.
+/// Because the reader is order-independent, a document with its record
+/// lines reversed must parse to the identical trace too.
 #[test]
 fn every_preset_roundtrips_single_and_split() {
-    use lsr_apps::*;
-    let presets: Vec<(&str, lsr_trace::Trace)> = vec![
-        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8())),
-        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15())),
-        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm())),
-        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi())),
-        ("lassen8", lassen_charm(&LassenParams::chares8())),
-        ("lassen64", lassen_charm(&LassenParams::chares64())),
-        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2))),
-        ("pdes", pdes_charm(&PdesParams::fig24())),
-        ("mergetree", mergetree_mpi(&MergeTreeParams::small())),
-        ("bt", bt_mpi(&BtParams::fig1())),
-        ("divcon", divcon_charm(&DivConParams::small())),
-    ];
     let dir = std::env::temp_dir().join(format!("lsr_preset_roundtrip_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, tr) in &presets {
-        // Single document.
-        let text = logfmt::to_log_string(tr);
-        let back = logfmt::from_log_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(*tr, back, "{name}: single-document roundtrip");
+    for (name, tr, _) in support::presets() {
+        let text = logfmt::to_log_string(&tr);
+        multifile::write_split(&tr, &dir, name)
+            .unwrap_or_else(|e| panic!("{name}: write_split: {e}"));
+        for split in [false, true] {
+            for mode in [Mode::Checked, Mode::Unchecked, Mode::Salvage] {
+                for enabled in [false, true] {
+                    let case = format!("{name} split={split} {mode:?} recorder={enabled}");
+                    let recorder = if enabled { Recorder::enabled() } else { Recorder::disabled() };
+                    let opts = ReadOptions { mode, recorder };
+                    let read = if split {
+                        multifile::read_split(&dir, name, &opts)
+                    } else {
+                        logfmt::read_log(text.as_bytes(), &opts)
+                    };
+                    let (back, rep) = read.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(tr, back, "{case}: roundtrip");
+                    assert!(rep.is_clean(), "{case}: clean input produced {}", rep.summary());
+                    assert!(rep.bytes > 0, "{case}: no bytes tallied");
+                    let counted =
+                        opts.recorder.counters().into_iter().find(|(k, _)| k == "ingest.bytes");
+                    assert_eq!(counted.map(|(_, v)| v), enabled.then_some(rep.bytes), "{case}");
+                }
+            }
+        }
 
         // The same document with every record line in reverse order:
         // ingestion is two-phase, so record order must not matter.
@@ -95,26 +95,25 @@ fn every_preset_roundtrips_single_and_split() {
         let reversed = std::iter::once(header).chain(lines).collect::<Vec<_>>().join("\n") + "\n";
         let back =
             logfmt::from_log_str(&reversed).unwrap_or_else(|e| panic!("{name} (reversed): {e}"));
-        assert_eq!(*tr, back, "{name}: reversed-order roundtrip");
-
-        // Salvage on clean input: identical trace, empty report.
-        let (back, rep) = logfmt::read_log_salvage(text.as_bytes())
-            .unwrap_or_else(|e| panic!("{name} (salvage): {e}"));
-        assert_eq!(*tr, back, "{name}: salvage roundtrip");
-        assert!(rep.is_clean(), "{name}: clean input produced findings: {}", rep.summary());
-
-        // Split layout (.sts + per-PE logs).
-        lsr_trace::multifile::write_split(tr, &dir, name)
-            .unwrap_or_else(|e| panic!("{name}: write_split: {e}"));
-        let back = lsr_trace::multifile::read_split(&dir, name)
-            .unwrap_or_else(|e| panic!("{name}: read_split: {e}"));
-        assert_eq!(*tr, back, "{name}: split roundtrip");
-        let (back, rep) = lsr_trace::multifile::read_split_salvage(&dir, name)
-            .unwrap_or_else(|e| panic!("{name}: read_split_salvage: {e}"));
-        assert_eq!(*tr, back, "{name}: split salvage roundtrip");
-        assert!(rep.is_clean(), "{name}: split salvage found: {}", rep.summary());
+        assert_eq!(tr, back, "{name}: reversed-order roundtrip");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Counters are flushed before validation: a checked read that refuses
+/// a well-formed but invalid trace has still tallied what it read.
+#[test]
+fn checked_read_counts_ingest_before_refusing_an_invalid_trace() {
+    let text = "LSRTRACE 1\nPES 1\nARRAY 0 A w\nCHARE 0 0 0 0\nENTRY 0 - - e\nTASK 0 0 0 0 9 2 -\n";
+    let opts = ReadOptions { mode: Mode::Checked, recorder: Recorder::enabled() };
+    let err = logfmt::read_log(text.as_bytes(), &opts).unwrap_err();
+    assert!(err.to_string().starts_with("invalid trace: "), "{err}");
+    let counters = opts.recorder.counters();
+    let counter = |name: &str| counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+    assert_eq!(counter("ingest.bytes"), Some(text.len() as u64));
+    assert_eq!(counter("ingest.records"), Some(5));
+    // The same bytes read unchecked load, so only validation refused them.
+    assert!(logfmt::read_log(text.as_bytes(), &Mode::Unchecked.into()).is_ok());
 }
 
 #[test]

@@ -6,7 +6,8 @@
 use lsr_audit::{shrink_log, ShrinkError, ShrinkOptions};
 use lsr_core::Config;
 use lsr_lint::{ingest_diagnostics, lint_trace, LintOptions};
-use lsr_trace::logfmt::{read_log_salvage, to_log_string};
+use lsr_trace::logfmt::{read_log, to_log_string};
+use lsr_trace::Mode;
 
 fn jacobi_log() -> String {
     to_log_string(&lsr_apps::jacobi2d(&lsr_apps::JacobiParams::fig8()))
@@ -46,7 +47,7 @@ fn swap_fields(l: &str, kw: &str, i: usize, j: usize) -> Option<String> {
 /// family split the shrinker uses, re-derived here so the test does not
 /// trust the shrinker's own probe).
 fn still_fires(log: &str, code: &str) -> bool {
-    let Ok((tr, report)) = read_log_salvage(log.as_bytes()) else {
+    let Ok((tr, report)) = read_log(log.as_bytes(), &Mode::Salvage.into()) else {
         return false;
     };
     if code.starts_with('I') {
@@ -113,7 +114,7 @@ fn reproducer_is_strictly_parseable() {
     // without salvage warnings whenever the code survives rewriting.
     let log = plant(&jacobi_log(), |l| swap_fields(l, "TASK", 5, 6));
     let r = shrink_log(&log, "T005", &ShrinkOptions::default()).expect("shrinks");
-    let (_, report) = read_log_salvage(r.log.as_bytes()).expect("parses");
+    let (_, report) = read_log(r.log.as_bytes(), &Mode::Salvage.into()).expect("parses");
     assert!(
         report.diagnostics.is_empty(),
         "canonical reproducer must load clean, got {:?}",

@@ -146,6 +146,34 @@ pub fn all_configs() -> Vec<(&'static str, lsr_core::Config)> {
     ]
 }
 
+/// All eleven generator presets, each with the extraction configuration
+/// its CLI invocation uses (`--mpi` for the MPI apps, plus
+/// `--no-process-order` for the merge tree).
+#[allow(dead_code)] // not every test binary uses every helper
+pub fn presets() -> Vec<(&'static str, Trace, lsr_core::Config)> {
+    use lsr_apps::*;
+    use lsr_core::Config;
+    let charm = Config::charm();
+    let mpi = Config::mpi();
+    vec![
+        ("jacobi-fig8", jacobi2d(&JacobiParams::fig8()), charm.clone()),
+        ("jacobi-fig15", jacobi2d(&JacobiParams::fig15()), charm.clone()),
+        ("lulesh-charm", lulesh_charm(&LuleshParams::fig16_charm()), charm.clone()),
+        ("lulesh-mpi", lulesh_mpi(&LuleshParams::fig16_mpi()), mpi.clone()),
+        ("lassen8", lassen_charm(&LassenParams::chares8()), charm.clone()),
+        ("lassen64", lassen_charm(&LassenParams::chares64()), charm.clone()),
+        ("lassen-mpi", lassen_mpi(&LassenParams::mpi(4, 2)), mpi.clone()),
+        ("pdes", pdes_charm(&PdesParams::fig24()), charm.clone()),
+        (
+            "mergetree",
+            mergetree_mpi(&MergeTreeParams::small()),
+            mpi.clone().with_process_order(false),
+        ),
+        ("bt", bt_mpi(&BtParams::fig1()), mpi),
+        ("divcon", divcon_charm(&DivConParams::small()), charm),
+    ]
+}
+
 /// The generating edges of `mode`'s happened-before relation, as
 /// successor lists, built straight from the trace and its index: chains
 /// of consecutive tasks per PE (schedule), per chare (causal with chare
