@@ -17,37 +17,28 @@
 //! hardware-independent cost. Random pairs are the index's worst case,
 //! so the probe is reported at every rung and on the LULESH row.
 //!
-//! Artifacts: `exp_race_scaling.csv` (per-scale series with *measured*
-//! `size_bytes()`) and the schema-versioned `bench_out/BENCH_races.json`.
-//! With `LSR_BENCH_RACES=1` the run becomes a regression gate in the
-//! `LSR_OBS_GATE` style: it panics without a committed artifact, and
-//! fails if top-rung bytes grow past the committed figure, top-rung
-//! `races_ns` past 2× the committed figure, or the top-rung or LULESH
-//! `visits_per_search` past 1.5× the committed figure.
+//! Artifact: `exp_race_scaling.csv` (per-scale series with *measured*
+//! `size_bytes()`). Bytes and search visits are deterministic, so the
+//! run fails if the 4,096-rank index grows past [`TOP_BYTES`], or if the
+//! 4,096-rank or LULESH `visits_per_search` passes 1.5× [`TOP_VISITS`]
+//! or [`DENSE_VISITS`].
 
 use lsr_apps::{lulesh_charm, mergetree_mpi, LuleshParams, MergeTreeParams};
-use lsr_bench::{banner, loglog_slope, secs, timed, write_artifact};
+use lsr_bench::{banner, best, loglog_slope, secs, write_artifact};
 use lsr_core::Config;
 use lsr_lint::{analyze_races, causal_mode, HbIndex, HbStats};
 use lsr_trace::{Dur, TaskId, Trace, TraceIndex};
 use std::time::Duration;
 
+/// Index bytes of the 4,096-rank merge tree.
+const TOP_BYTES: usize = 229_320;
+/// `visits_per_search` of the 4,096-rank merge tree's random probe.
+const TOP_VISITS: f64 = 2.58;
+/// `visits_per_search` of the LULESH 4×4×4 random probe.
+const DENSE_VISITS: f64 = 67.31;
+
 fn params(ranks: u32) -> MergeTreeParams {
     MergeTreeParams { ranks, seed: 0x10, base: Dur::from_micros(100), skew: 3.0 }
-}
-
-/// Best-of-N timing: the workload is deterministic, so the minimum is
-/// the least-noisy estimate of the cost.
-fn best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    let (mut out, mut dur) = timed(&mut f);
-    for _ in 1..reps {
-        let (o, d) = timed(&mut f);
-        if d < dur {
-            out = o;
-            dur = d;
-        }
-    }
-    (out, dur)
 }
 
 /// The scan `analyze_races` replays: adjacent-pair concurrency over
@@ -103,22 +94,6 @@ impl Run {
     fn visits_per_search(&self) -> f64 {
         self.stats.search_visits as f64 / self.stats.searches.max(1) as f64
     }
-
-    /// The artifact fields shared by every row.
-    fn json_fields(&self) -> String {
-        format!(
-            "\"tasks\": {}, \"edges\": {}, \"build_ns\": {}, \"scan_ns\": {}, \
-             \"races_ns\": {}, \"probe_ns\": {}, \"bytes\": {}, \"visits_per_search\": {:.2}",
-            self.stats.tasks,
-            self.stats.edges,
-            self.build.as_nanos(),
-            self.scan.as_nanos(),
-            self.races().as_nanos(),
-            self.probe.as_nanos(),
-            self.stats.bytes,
-            self.visits_per_search()
-        )
-    }
 }
 
 fn run(trace: &Trace, cfg: &Config, reps: usize, pairs: &[(TaskId, TaskId)]) -> Run {
@@ -129,34 +104,6 @@ fn run(trace: &Trace, cfg: &Config, reps: usize, pairs: &[(TaskId, TaskId)]) -> 
     let (_, scan) = best(reps, || scan_workload(&hb, &ix));
     let (_, probe) = best(reps, || probe_workload(&hb, pairs));
     Run { build, scan, probe, stats: hb.stats() }
-}
-
-/// The committed artifact's gated figures: top-rung bytes, `races_ns`
-/// and `visits_per_search`, and the LULESH row's `visits_per_search`.
-struct Committed {
-    bytes: u64,
-    races_ns: u64,
-    top_visits: f64,
-    dense_visits: f64,
-}
-
-fn committed(path: &std::path::Path) -> Option<Committed> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v: serde::Value = serde_json::from_str(&text).ok()?;
-    if !matches!(v.get("schema")?, serde::Value::Str(s) if s == "lsr-bench-races/3") {
-        return None;
-    }
-    let num = |row: &str, key: &str| match v.get(row)?.get(key)? {
-        serde::Value::F64(x) => Some(*x),
-        serde::Value::U64(n) => Some(*n as f64),
-        _ => None,
-    };
-    Some(Committed {
-        bytes: num("top", "bytes")? as u64,
-        races_ns: num("top", "races_ns")? as u64,
-        top_visits: num("top", "visits_per_search")?,
-        dense_visits: num("dense", "visits_per_search")?,
-    })
 }
 
 fn main() {
@@ -171,12 +118,9 @@ fn main() {
     };
     let reps = if lsr_bench::full_scale() { 15 } else { 7 };
     let cfg = Config::mpi().with_process_order(false);
-    let races_path = lsr_bench::out_dir().join("BENCH_races.json");
-    let committed = committed(&races_path);
 
     let mut csv =
         String::from("ranks,tasks,edges,bytes,visits_per_search,build_s,scan_s,races_s,probe_s\n");
-    let mut scale_json = Vec::new();
     let mut byte_points = Vec::new();
     let mut top = None;
     println!(
@@ -230,7 +174,6 @@ fn main() {
             r.races().as_secs_f64(),
             r.probe.as_secs_f64()
         ));
-        scale_json.push(format!("    {{\"ranks\": {ranks}, {}}}", r.json_fields()));
         byte_points.push((s.tasks as f64, s.bytes as f64));
         top = Some((ranks, r));
     }
@@ -268,50 +211,18 @@ fn main() {
     );
 
     let (top_ranks, top) = top.expect("non-empty sweep");
-    // Opt-in regression gate (`LSR_BENCH_RACES=1`). Bytes and search
-    // visits are deterministic, so they are gated tightly; the query
-    // time is host-dependent, so it only fails past 2x.
-    if std::env::var("LSR_BENCH_RACES").map(|v| v == "1").unwrap_or(false) {
-        let Some(c) = committed else {
-            panic!(
-                "LSR_BENCH_RACES=1 but no committed lsr-bench-races/3 {} to gate against",
-                races_path.display()
-            )
-        };
-        let bytes = top.stats.bytes as u64;
-        assert!(
-            bytes <= c.bytes,
-            "{top_ranks}-rank index {bytes} B grew past the committed {} B",
-            c.bytes
-        );
-        let races_ns = top.races().as_nanos() as u64;
-        assert!(
-            races_ns <= 2 * c.races_ns,
-            "{top_ranks}-rank query side {races_ns} ns regressed past 2x the committed {} ns",
-            c.races_ns
-        );
-        for (row, now, then) in [
-            ("top rung", top.visits_per_search(), c.top_visits),
-            ("lulesh", dense.visits_per_search(), c.dense_visits),
-        ] {
-            assert!(
-                now <= then * 1.5,
-                "{row}: {now:.2} visits/search, past 1.5x the committed {then:.2}"
-            );
-        }
-        println!("  races gate: bytes, query time and search visits within bounds");
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"race_scaling\",\n  \"schema\": \"lsr-bench-races/3\",\n  \
-         \"scales\": [\n{}\n  ],\n  \
-         \"dense\": {{\"workload\": \"lulesh 4x4x4\", {}}},\n  \
-         \"top\": {{\"ranks\": {top_ranks}, {}}}\n}}\n",
-        scale_json.join(",\n"),
-        dense.json_fields(),
-        top.json_fields()
+    assert_eq!(top_ranks, 4096, "the sweep ends at the 4,096-rank gate rung");
+    assert!(
+        top.stats.bytes <= TOP_BYTES,
+        "{top_ranks}-rank index {} B grew past {TOP_BYTES} B",
+        top.stats.bytes
     );
-    write_artifact("BENCH_races.json", &json);
+    for (row, now, then) in [
+        ("top rung", top.visits_per_search(), TOP_VISITS),
+        ("lulesh", dense.visits_per_search(), DENSE_VISITS),
+    ] {
+        assert!(now <= then * 1.5, "{row}: {now:.2} visits/search, past 1.5x {then:.2}");
+    }
     write_artifact("exp_race_scaling.csv", &csv);
     println!(
         "=> {top_ranks} ranks: race-free, query side {} in O(tasks) memory ({:.1} B/task)",

@@ -25,8 +25,7 @@ pub(crate) struct PhaseInput<'a> {
 }
 
 /// The read-only event tables every phase's ordering reads. Phases
-/// partition the events, so one pair of tables serves every phase and
-/// every worker of the fan-out.
+/// partition the events, so one pair of tables serves every phase.
 #[derive(Clone, Copy)]
 pub(crate) struct EventTables<'a> {
     /// Event → phase.

@@ -10,14 +10,14 @@
 //! (ingest → partition/merge → step assignment → metrics → render)
 //! opens a span under the recorder carried by `lsr_core::Config`, and
 //! the hot loops flush counters (bytes scanned, merges per rule, HB
-//! reachability queries, ordering fan-out). `lsr <cmd> --profile`
+//! reachability queries, phases ordered). `lsr <cmd> --profile`
 //! renders the tree; `--profile-json` emits [`Profile::to_json`].
 //!
 //! **Zero cost when disabled.** A disabled recorder is a `None`; every
 //! operation is a single branch on it, no allocation, no clock read.
 //! The `exp_pipeline_profile` bench gates that a disabled-recorder
-//! extraction stays within 5% of a build with the calls compiled out
-//! (the `noop` feature).
+//! extraction stays within 5% of its own build with the calls compiled
+//! out (the `noop` feature).
 //!
 //! **Instrumentation must never skew results.** The recorder only
 //! observes; `tests/obs_properties.rs` holds a differential property

@@ -346,6 +346,13 @@ fn load(
     if !rep.is_clean() {
         eprintln!("salvage: {}", rep.summary());
     }
+    // Salvage keeps referential integrity but not every invariant, and
+    // the pipeline assumes a valid trace; only `lint` takes one that is
+    // not (it reports the violations as T codes).
+    if mode == Mode::Salvage {
+        lsr::trace::validate_fast(&trace)
+            .map_err(|e| format!("cannot use {path} after salvage: invalid trace: {e}"))?;
+    }
     Ok(trace)
 }
 

@@ -326,6 +326,33 @@ fn lint_reports_the_same_codes_for_a_corrupt_trace_in_either_layout() {
 }
 
 #[test]
+fn salvaged_trace_that_stays_invalid_is_refused_not_a_panic() {
+    let dir = temp_dir("salvage_invalid");
+    assert!(lsr(&["gen", "bt", "--out", "bt.lsrtrace"], &dir).status.success());
+    // Renumber event 61's receive record to the already-used id 66:
+    // salvage drops the duplicate (I002) but leaves message 42 with
+    // inconsistent endpoints (T009).
+    let text = std::fs::read_to_string(dir.join("bt.lsrtrace")).expect("read trace");
+    let bad = text.replacen("\nRECV 61 61 ", "\nRECV 66 61 ", 1);
+    assert_ne!(bad, text, "bt has a RECV record for event 61");
+    std::fs::write(dir.join("bad.lsrtrace"), bad).expect("write trace");
+    for cmd in ["extract", "races", "analyze", "model", "audit", "report"] {
+        let out = lsr(&[cmd, "bad.lsrtrace", "--salvage", "--mpi"], &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(
+            err.contains("cannot use bad.lsrtrace after salvage: invalid trace: message m42"),
+            "{cmd}: {err}"
+        );
+    }
+    // Lint still diagnoses the salvaged trace.
+    let out = lsr(&["lint", "bad.lsrtrace", "--salvage", "--mpi", "--no-structure"], &dir);
+    let report = stdout(&out);
+    assert!(report.contains("I002") && report.contains("T009"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gen_without_out_uses_preset_name() {
     let dir = temp_dir("gendefault");
     let out = lsr(&["gen", "divcon"], &dir);

@@ -5,7 +5,7 @@
 
 mod support;
 
-use lsr_apps::{jacobi2d, lulesh_mpi, JacobiParams, LuleshParams};
+use lsr_apps::{jacobi2d, lulesh_mpi, mergetree_mpi, JacobiParams, LuleshParams, MergeTreeParams};
 use lsr_core::{extract, Config};
 use lsr_obs::Recorder;
 use lsr_trace::{logfmt, multifile, Mode, ReadOptions};
@@ -51,17 +51,20 @@ fn log_files_survive_disk_io() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Ingest is one table: every `lsr gen` preset × {single document,
-/// split `.sts` + per-PE logs} × every [`Mode`] × {disabled, enabled
-/// recorder} must read back the identical trace with a clean report,
-/// and an enabled recorder must receive the report's `ingest.bytes`.
+/// Ingest is one table: every `lsr gen` preset and the paper's
+/// 1,024-rank merge tree × {single document, split `.sts` + per-PE
+/// logs} × every [`Mode`] × {disabled, enabled recorder} must read back
+/// the generator's in-memory trace exactly, with a clean report, and an
+/// enabled recorder must receive the report's `ingest.bytes`.
 /// Because the reader is order-independent, a document with its record
 /// lines reversed must parse to the identical trace too.
 #[test]
 fn every_preset_roundtrips_single_and_split() {
     let dir = std::env::temp_dir().join(format!("lsr_preset_roundtrip_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, tr, _) in support::presets() {
+    let mergetree1024 = ("mergetree1024", mergetree_mpi(&MergeTreeParams::fig10()));
+    let inputs = support::presets().into_iter().map(|(name, tr, _)| (name, tr));
+    for (name, tr) in inputs.chain([mergetree1024]) {
         let text = logfmt::to_log_string(&tr);
         multifile::write_split(&tr, &dir, name)
             .unwrap_or_else(|e| panic!("{name}: write_split: {e}"));
